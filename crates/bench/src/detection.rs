@@ -1,9 +1,9 @@
 //! The detection-rate campaign as a library: empirical detection outcomes
 //! under injected wear-out faults, per fault site, for SRT and BlackJack.
 //!
-//! Extracted from the `ext_detection` binary so the harness, the
-//! `bench_snapshot` / `bench_earlyexit` measurements, and the equivalence
-//! tests all drive one implementation. The report text is fully
+//! Extracted from the `ext_detection` binary so the harness, the repo
+//! benchmark (`perfbench/`), and the equivalence tests all drive one
+//! implementation. The report text is fully
 //! deterministic — byte-identical for any worker count and for either
 //! value of `BJ_SNAPSHOT` and `BJ_EARLYEXIT` — which is the campaign's
 //! testable contract.

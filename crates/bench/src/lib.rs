@@ -1,18 +1,12 @@
 //! # Benchmark harnesses for the BlackJack reproduction
 //!
-//! One binary per figure of the paper, plus extension/ablation harnesses:
+//! The paper's evaluation and the extension/ablation harnesses:
 //!
 //! | binary | regenerates |
 //! |--------|-------------|
-//! | `fig4_coverage` | Figure 4a/4b — hard-error instruction coverage |
-//! | `fig5_interference` | Figure 5 — interference cycles |
-//! | `fig6_burstiness` | Figure 6 — single-context issue cycles |
-//! | `fig7_performance` | Figure 7 — normalized performance |
-//! | `fig_all` | Table 1 + all figures, and the EXPERIMENTS.md body |
+//! | `fig_all` | Table 1, Figures 4a/4b, 5, 6 and 7, and the EXPERIMENTS.md body |
 //! | `ext_detection` | detection-rate sweep under injected faults |
 //! | `ext_ablation` | slack sweep + design-choice ablation |
-//! | `bench_campaign` | simulator throughput; writes `BENCH_campaign.json` |
-//! | `bj-bench` | summarizes/migrates/gates the `BENCH_*.json` documents |
 //!
 //! Run with `cargo run --release -p blackjack-bench --bin <name>`. The
 //! harnesses fan out over a worker pool ([`blackjack::Campaign`]); set
@@ -22,7 +16,6 @@
 
 use blackjack::{envcfg, Experiment};
 
-pub mod benchfmt;
 pub mod detection;
 
 /// Builds the standard experiment at the scale used by the harnesses

@@ -2,8 +2,8 @@
 //! byte-identical with the snapshot-fork path on or off, with the
 //! early-exit layer on or off, and for any worker count — the hard
 //! requirement on both campaign optimizations. One benchmark keeps the
-//! test fast; the full sweep's equivalence is re-checked by `verify.sh`,
-//! `bench_snapshot` and `bench_earlyexit`.
+//! test fast; `scripts/verify.sh` re-checks the full sweep with both
+//! layers off, snapshots alone, and both on.
 
 use blackjack::faults::FaultKind;
 use blackjack::workloads::Benchmark;

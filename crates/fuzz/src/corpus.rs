@@ -272,24 +272,19 @@ impl Case {
                 Section::Text => match line {
                     "data" => section = Section::Data,
                     "end" => section = Section::Done,
-                    hex => match u32::from_str_radix(hex, 16) {
-                        Ok(w) if hex.len() == 8 => words.push(w),
-                        _ => return err("bad text word"),
-                    },
+                    hex if hex.len() == 8 && is_hex(hex) => {
+                        words.push(u32::from_str_radix(hex, 16).expect("eight hex digits"));
+                    }
+                    _ => return err("bad text word"),
                 },
                 Section::Data => match line {
                     "end" => section = Section::Done,
-                    hex => {
-                        if hex.len() % 2 != 0 {
-                            return err("odd-length data line");
-                        }
+                    hex if hex.len() % 2 == 0 && is_hex(hex) => {
                         for i in (0..hex.len()).step_by(2) {
-                            match u8::from_str_radix(&hex[i..i + 2], 16) {
-                                Ok(b) => data.push(b),
-                                Err(_) => return err("bad data byte"),
-                            }
+                            data.push(u8::from_str_radix(&hex[i..i + 2], 16).expect("two hex digits"));
                         }
                     }
+                    _ => return err("bad data line"),
                 },
                 Section::Done => return err("content after `end`"),
             }
@@ -332,6 +327,12 @@ impl Case {
             std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
         Case::from_text(&text).map_err(|e| format!("{}: {e}", path.display()))
     }
+}
+
+/// True when `s` is made of ASCII hex digits only: `from_str_radix`
+/// alone would accept a leading sign, and byte slicing needs ASCII.
+fn is_hex(s: &str) -> bool {
+    s.bytes().all(|b| b.is_ascii_hexdigit())
 }
 
 fn parse_u64(s: &str) -> Option<u64> {
@@ -507,16 +508,20 @@ mod tests {
         assert!(Case::from_text("name x\ntext\n00000013\n").is_err(), "missing end");
         assert!(Case::from_text("bogus line\ntext\n00000013\nend\n").is_err());
         for bad in [
-            "temporal sometimes:3",
-            "temporal intermittent:1:0:0",
-            "temporal intermittent:1:4:9",
-            "temporal transient",
-            "ecc maybe",
-            "expect corrected",
-            "fault lvq",
-            "fault tlb:0:1",
+            "temporal sometimes:3\ntext\n00000013",
+            "temporal intermittent:1:0:0\ntext\n00000013",
+            "temporal intermittent:1:4:9\ntext\n00000013",
+            "temporal transient\ntext\n00000013",
+            "ecc maybe\ntext\n00000013",
+            "expect corrected\ntext\n00000013",
+            "fault lvq\ntext\n00000013",
+            "fault tlb:0:1\ntext\n00000013",
+            // Signed and non-ASCII hex must be rejected, not parsed or
+            // sliced mid-character.
+            "text\n+7000000",
+            "text\n00000013\ndata\na\u{e9}0",
         ] {
-            let text = format!("name x\n{bad}\ntext\n00000013\nend\n");
+            let text = format!("name x\n{bad}\nend\n");
             assert!(Case::from_text(&text).is_err(), "`{bad}` should be rejected");
         }
     }

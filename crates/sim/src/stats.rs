@@ -73,9 +73,8 @@ pub struct SimStats {
     /// [`SimStats::merge`] leaves it untouched: summing
     /// the wall-clock of runs that executed in parallel on different
     /// campaign workers would not measure any real elapsed interval. For
-    /// campaign-level wall-clock throughput use
-    /// `CampaignStats::cycles_per_sec`, which divides by the campaign's
-    /// actual elapsed time.
+    /// campaign-level wall-clock throughput, divide the summed cycles by
+    /// the campaign's actual elapsed time (`CampaignTrace::wall`).
     pub wall_nanos: u64,
     /// *Aggregate* compute nanoseconds: the sum of `wall_nanos` over every
     /// run merged into this record (equal to `wall_nanos` for a single
@@ -211,7 +210,7 @@ impl SimStats {
     }
 
     /// Simulated cycles per *worker*-second — the simulator's own
-    /// throughput, reported by the `bench_campaign` harness.
+    /// throughput.
     ///
     /// The denominator is [`SimStats::agg_wall_nanos`], the summed
     /// compute time of every merged run — **not** campaign elapsed time.

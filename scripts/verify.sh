@@ -5,6 +5,12 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Tier-1 must never rewrite tracked files: the working-tree status at
+# the end must match the status at the start.
+status_before="$(git status --porcelain)"
+tmp="$(mktemp -d /tmp/bj_verify.XXXXXX)"
+trap 'rm -rf "$tmp"' EXIT
+
 echo "== tier-1: offline release build =="
 cargo build --release --offline
 
@@ -24,8 +30,7 @@ echo "== tier-1: fig_all smoke (BJ_SCALE=1) =="
 BJ_SCALE=1 cargo run --release -q --offline -p blackjack-bench --bin fig_all >/dev/null
 
 echo "== tier-1: BJ_TRACE smoke (traced detection run through bj-trace) =="
-trace_file="$(mktemp /tmp/bj_trace_smoke.XXXXXX.jsonl)"
-trap 'rm -f "$trace_file"' EXIT
+trace_file="$tmp/trace_smoke.jsonl"
 # A traced injection run must detect, leave schema-valid JSONL behind,
 # and bj-trace must render a non-empty report from it.
 BJ_TRACE="$trace_file" cargo run --release -q --offline --bin bjsim -- \
@@ -38,52 +43,42 @@ rendered="$(cargo run --release -q --offline -p blackjack-bench --bin bj-trace -
 echo "$rendered" | grep -q "flight recorder:"
 echo "$rendered" | grep -q "detection:"
 
-echo "== tier-1: BJ_SNAPSHOT equivalence smoke (ext_detection, gzip) =="
-# The fork-at-injection path must be invisible in the report: stdout is
-# byte-identical with snapshots off (replay from cycle 0) and on.
-snap_off="$(BJ_SCALE=1 BJ_SNAPSHOT=0 cargo run --release -q --offline -p blackjack-bench \
-  --bin ext_detection -- --bench gzip 2>/dev/null)"
-snap_on="$(BJ_SCALE=1 BJ_SNAPSHOT=1 cargo run --release -q --offline -p blackjack-bench \
-  --bin ext_detection -- --bench gzip 2>/dev/null)"
-[ -n "$snap_on" ]
-diff <(printf '%s' "$snap_off") <(printf '%s' "$snap_on")
-
-echo "== tier-1: bench_snapshot (refreshes BENCH_snapshot.json) =="
-# Full-sweep replay-vs-fork timing; asserts the reports match and
-# requires the measured speedup recorded in BENCH_snapshot.json.
-BJ_SCALE=1 cargo run --release -q --offline -p blackjack-bench --bin bench_snapshot >/dev/null
-grep -q '"reports_identical": true' BENCH_snapshot.json
-
-echo "== tier-1: BJ_EARLYEXIT equivalence smoke (ext_detection, gzip) =="
-# The early-exit layer must be invisible in the report: stdout is
-# byte-identical with every run simulated to its natural end and with
-# runs cut the moment their verdict is decided.
-ee_off="$(BJ_SCALE=1 BJ_EARLYEXIT=0 cargo run --release -q --offline -p blackjack-bench \
-  --bin ext_detection -- --bench gzip 2>/dev/null)"
-ee_on="$(BJ_SCALE=1 BJ_EARLYEXIT=1 cargo run --release -q --offline -p blackjack-bench \
-  --bin ext_detection -- --bench gzip 2>/dev/null)"
-[ -n "$ee_on" ]
-diff <(printf '%s' "$ee_off") <(printf '%s' "$ee_on")
-
-echo "== tier-1: bench_earlyexit (refreshes BENCH_earlyexit.json) =="
-# Full-sweep full-run-vs-early-exit timing; asserts the reports match
-# and records the speedup with per-mechanism attribution.
-BJ_SCALE=1 cargo run --release -q --offline -p blackjack-bench --bin bench_earlyexit >/dev/null
-grep -q '"reports_identical": true' BENCH_earlyexit.json
-
-echo "== tier-1: bj-bench --check (bench regression gate) =="
-# The unified BENCH_*.json documents (just refreshed above) must pass
-# their committed tolerances: speedup floors, throughput ratio bounds,
-# and the exact early-exit attribution counts.
-cargo run --release -q --offline -p blackjack-bench --bin bj-bench -- --check
+echo "== tier-1: ext_detection full-sweep equivalence (BJ_SNAPSHOT x BJ_EARLYEXIT) =="
+# The full default sweep three ways: replay from cycle 0 with every run
+# to its natural end, then forking from snapshots, then forking with
+# early exit and the metrics registry on. Neither layer may show in the
+# report: stdout is byte-identical across all three. (Snapshot off with
+# early exit on is covered by the detection_equiv test.)
+sweep_trace="$tmp/sweep.jsonl"
+sweep_ref="$(BJ_SCALE=1 BJ_SNAPSHOT=0 BJ_EARLYEXIT=0 cargo run --release -q --offline \
+  -p blackjack-bench --bin ext_detection 2>/dev/null)"
+sweep_fork="$(BJ_SCALE=1 BJ_EARLYEXIT=0 cargo run --release -q --offline \
+  -p blackjack-bench --bin ext_detection 2>/dev/null)"
+sweep_fast="$(BJ_SCALE=1 BJ_METRICS=1 BJ_TRACE="$sweep_trace" cargo run --release -q --offline \
+  -p blackjack-bench --bin ext_detection 2>/dev/null)"
+[ -n "$sweep_ref" ]
+diff <(printf '%s' "$sweep_ref") <(printf '%s' "$sweep_fork")
+diff <(printf '%s' "$sweep_ref") <(printf '%s' "$sweep_fast")
+# The metrics record's deterministic counters are the same for any
+# worker count; pin them, so a change in how many runs are simulated,
+# pruned or cut short fails here.
+sweep_metrics="$(grep '"type":"metrics"' "$sweep_trace")"
+counter() { printf '%s' "$sweep_metrics" | { grep -o "\"$1\":[0-9]*" || true; } | cut -d: -f2; }
+for pin in runs_simulated=108 snapshot_forks=108 pruned_static=68 pruned_activation=24 \
+  exit_converged=0 exit_stalled=0; do
+  got="$(counter "${pin%=*}")"
+  [ "$got" = "${pin#*=}" ] || { echo "metrics: ${pin%=*} is '$got', expected ${pin#*=}"; exit 1; }
+done
+# Every simulated run must fork from a snapshot: a silent fallback to
+# replay from cycle 0 would keep the report but lose the speedup.
+[ "$(counter snapshot_forks)" = "$(counter runs_simulated)" ]
 
 echo "== tier-1: observability smoke (BJ_METRICS + BJ_PROGRESS_SECS) =="
 # A metrics-and-progress run must stream at least one well-formed
 # progress record (the guaranteed done:true tick), the phase and metrics
 # record families, render through bj-trace top — and leave stdout
 # byte-identical to the unobserved run.
-obs_file="$(mktemp /tmp/bj_obs_smoke.XXXXXX.jsonl)"
-trap 'rm -f "$trace_file" "$obs_file"' EXIT
+obs_file="$tmp/obs_smoke.jsonl"
 obs_out="$(BJ_SCALE=1 BJ_METRICS=1 BJ_PROGRESS_SECS=1 BJ_TRACE="$obs_file" \
   cargo run --release -q --offline -p blackjack-bench \
   --bin ext_detection -- --bench gzip 2>/dev/null)"
@@ -141,5 +136,9 @@ echo "== tier-1: fault-universe oracle battery (bj-fuzz, all kinds, ECC on) =="
 BJ_FUZZ_ITERS=50 BJ_FAULT_KINDS=hard,transient,intermittent BJ_ECC=1 \
   cargo run --release -q --offline -p blackjack-fuzz --bin bj-fuzz -- \
   --seed 0xB1AC --quiet | grep -q "all checks passed"
+
+echo "== tier-1: tracked files unchanged =="
+status_after="$(git status --porcelain)"
+diff <(printf '%s\n' "$status_before") <(printf '%s\n' "$status_after")
 
 echo "verify: OK"

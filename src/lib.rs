@@ -19,8 +19,7 @@ pub mod snapshot;
 pub mod telemetry;
 
 pub use campaign::{
-    Campaign, CampaignStats, CampaignTrace, JobTiming, Observed, ObserveOpts, ProgressHook,
-    ProgressTick,
+    Campaign, CampaignTrace, JobTiming, Observed, ObserveOpts, ProgressHook, ProgressTick,
 };
 pub use envcfg::EnvError;
 pub use experiment::{BenchmarkResult, Experiment, ExperimentResult, ModeResult};
