@@ -13,7 +13,10 @@
 //! * [`asm`] — a two-pass assembler with labels, sections, and pseudo-ops.
 //! * [`Interp`] — the golden functional interpreter used for differential
 //!   testing of the out-of-order pipeline.
-//! * [`Program`] and [`PagedMem`] — program images and a sparse byte memory.
+//! * [`Program`] and [`PagedMem`] — program images and a sparse memory of
+//!   zero-initialised 4 KiB pages, one page lookup per access. Reads never
+//!   allocate, an absent page equals the zero page, and
+//!   [`PagedMem::first_difference`] returns the lowest differing address.
 //!
 //! # Example
 //!

@@ -128,22 +128,24 @@ impl StoreBuffer {
         }
     }
 
-    /// Reads `bytes` at `addr`, seeing buffered stores (youngest first) in
-    /// front of memory, at byte granularity.
+    /// Reads `bytes` (1, 4, or 8) at `addr`, seeing buffered stores in
+    /// front of memory at byte granularity: each byte comes from the
+    /// youngest buffered store that covers it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes` is not 1, 4, or 8.
     pub fn read_through(&self, addr: u64, bytes: u64, mem: &PagedMem) -> u64 {
-        let mut out = 0u64;
-        for i in 0..bytes {
-            let a = addr.wrapping_add(i);
-            let byte = self
-                .entries
-                .iter()
-                .rev()
-                .find_map(|r| {
-                    let off = a.wrapping_sub(r.addr);
-                    (off < r.bytes).then(|| (r.data >> (8 * off)) as u8)
-                })
-                .unwrap_or_else(|| mem.read_u8(a));
-            out |= (byte as u64) << (8 * i);
+        let mut out = mem.read_sized(addr, bytes);
+        // Oldest to youngest, so the youngest store covering a byte wins.
+        for r in &self.entries {
+            for i in 0..bytes {
+                let off = addr.wrapping_add(i).wrapping_sub(r.addr);
+                if off < r.bytes {
+                    let byte = (r.data >> (8 * off)) & 0xff;
+                    out = (out & !(0xff << (8 * i))) | (byte << (8 * i));
+                }
+            }
         }
         out
     }

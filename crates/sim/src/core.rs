@@ -2016,12 +2016,13 @@ impl Core {
             let Some(fwd) = self.ctxs[LEADING].lsq.forward_status(seq, addr, bytes) else {
                 return false; // an overlapping older store has no data yet
             };
-            let mut raw = 0u64;
+            // Bytes no older in-flight store covers come from the store
+            // buffer and memory behind it.
+            let mut raw = self.sb.read_through(addr, bytes, &self.mem);
             for (i, byte) in fwd.iter().enumerate() {
-                let v = byte.unwrap_or_else(|| {
-                    self.sb.read_through(addr.wrapping_add(i as u64), 1, &self.mem) as u8
-                });
-                raw |= (v as u64) << (8 * i);
+                if let Some(v) = byte {
+                    raw = (raw & !(0xff << (8 * i))) | (u64::from(*v) << (8 * i));
+                }
             }
             // ECC check bits are generated over the clean composed value
             // — the protected end of the load path. Everything after

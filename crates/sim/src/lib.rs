@@ -53,7 +53,7 @@ pub use detect::{DetectionEvent, DetectionKind, EarlyExitReason, RunOutcome};
 pub use dtq::{Dtq, DtqPayload};
 pub use fu::FuPool;
 pub use iq::IssueQueue;
-pub use lsq::Lsq;
+pub use lsq::{Forwarded, Lsq};
 pub use predictor::{Btb, Gshare, Ras};
 pub use regfile::{CommitRat, LeadIndexedRat, RegFile};
 pub use rob::ActiveList;

@@ -20,6 +20,23 @@ pub struct LsqEntry {
     pub data: Option<u64>,
 }
 
+/// The bytes of one load (at most 8) as forwarded from older stores: a
+/// fixed array, so forwarding allocates nothing. Derefs to one slot per
+/// loaded byte, `None` where no older store covers it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Forwarded {
+    slots: [Option<u8>; 8],
+    len: usize,
+}
+
+impl std::ops::Deref for Forwarded {
+    type Target = [Option<u8>];
+
+    fn deref(&self) -> &[Option<u8>] {
+        &self.slots[..self.len]
+    }
+}
+
 /// A program-ordered load/store queue for one context.
 ///
 /// Disambiguation is conservative: a load may issue only when every older
@@ -124,7 +141,7 @@ impl Lsq {
     /// Like [`Lsq::forward`], but returns `None` if an older store that
     /// overlaps the load's bytes has not produced its data yet (the load
     /// must wait).
-    pub fn forward_status(&self, seq: u64, addr: u64, bytes: u64) -> Option<Vec<Option<u8>>> {
+    pub fn forward_status(&self, seq: u64, addr: u64, bytes: u64) -> Option<Forwarded> {
         for e in self.entries.iter().take_while(|e| e.seq < seq) {
             if !e.is_store || e.data.is_some() {
                 continue;
@@ -141,8 +158,14 @@ impl Lsq {
     /// Byte-granular forwarding: returns each of the `bytes` bytes at
     /// `addr` as seen by the load at `seq` from *older stores in this
     /// queue*, or `None` where no older store covers the byte.
-    pub fn forward(&self, seq: u64, addr: u64, bytes: u64) -> Vec<Option<u8>> {
-        let mut out = vec![None; bytes as usize];
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes` exceeds 8 (no access is wider than a `u64`).
+    pub fn forward(&self, seq: u64, addr: u64, bytes: u64) -> Forwarded {
+        assert!(bytes <= 8, "forwarding a {bytes}-byte access");
+        let mut fwd = Forwarded { slots: [None; 8], len: bytes as usize };
+        let out = &mut fwd.slots[..fwd.len];
         // Oldest→youngest so younger stores overwrite older ones.
         for e in self.entries.iter().take_while(|e| e.seq < seq) {
             if !e.is_store {
@@ -157,7 +180,7 @@ impl Lsq {
                 }
             }
         }
-        out
+        fwd
     }
 
     /// Releases the head entry at commit.
@@ -255,7 +278,7 @@ mod tests {
         assert_eq!(f[7], Some(0x22));
         // A byte outside both stores:
         let f = q.forward(2, 108, 4);
-        assert_eq!(f, vec![None; 4]);
+        assert_eq!(*f, [None; 4]);
     }
 
     #[test]
@@ -265,7 +288,7 @@ mod tests {
         q.allocate(ids[0], 0, false, 8); // load at seq 0
         q.allocate(ids[1], 1, true, 8); // younger store
         q.execute(1, 100, Some(0xff));
-        assert_eq!(q.forward(0, 100, 8), vec![None; 8]);
+        assert_eq!(*q.forward(0, 100, 8), [None; 8]);
     }
 
     #[test]

@@ -137,6 +137,15 @@ BJ_FUZZ_ITERS=50 BJ_FAULT_KINDS=hard,transient,intermittent BJ_ECC=1 \
   cargo run --release -q --offline -p blackjack-fuzz --bin bj-fuzz -- \
   --seed 0xB1AC --quiet | grep -q "all checks passed"
 
+echo "== tier-1: perfbench fuzz smoke (the benchmark builds and its references hold) =="
+# The benchmark is its own Cargo workspace over the library's crates, so
+# the build above does not cover it. One short fuzz run must build, match
+# its committed references, and fail no operation.
+bench_line="$(cargo run --release -q --offline --manifest-path perfbench/Cargo.toml -- \
+  --workload fuzz --seed 1 --seconds 1 --trace 0 | tail -1)"
+echo "$bench_line" | grep -q '"correct": true'
+echo "$bench_line" | grep -q '"failed": 0,'
+
 echo "== tier-1: tracked files unchanged =="
 status_after="$(git status --porcelain)"
 diff <(printf '%s\n' "$status_before") <(printf '%s\n' "$status_after")
