@@ -4,11 +4,11 @@
 //! Thin shell over [`blackjack_bench::detection`]: each (mode, benchmark)
 //! group runs its fault-free prefix once to fix the wear-out arming
 //! schedule, then fans one injection job per fault site over the campaign
-//! pool. With `BJ_SNAPSHOT=1` (the default) the jobs fork from snapshots
-//! of the shared prefix instead of replaying from cycle 0; with
-//! `BJ_EARLYEXIT=1` (also the default) each run stops the moment its
-//! verdict is decided (`BJ_STALL_CYCLES` tunes the stall watchdog). The
-//! report is byte-identical on every path, and for any `BJ_THREADS`.
+//! pool. By default the jobs take the fork path: they fork from snapshots
+//! of the shared prefix and each run stops the moment its verdict is
+//! decided. `BJ_SNAPSHOT=0` takes the reference instead: every run
+//! replays from cycle 0 to its natural end. The report is byte-identical
+//! on both paths, and for any `BJ_THREADS`.
 //!
 //! `--bench <name>` restricts the sweep to one benchmark (used by the
 //! `verify.sh` equivalence smoke). `BJ_PRUNE=0` disables static pruning.
@@ -134,11 +134,14 @@ fn main() {
     );
     let early: usize = report.early_exits.iter().filter(|e| e.is_some()).count();
     eprintln!(
-        "[{} injection runs in {:.1?}; {} workers; snapshot {}; early exit {}]",
+        "[{} injection runs in {:.1?}; {} workers; {}]",
         report.tallies.len(),
         wall,
         campaign.workers(),
-        if cfg.snapshot { "on" } else { "off" },
-        if cfg.early_exit { format!("on ({early} runs cut short)") } else { "off".to_string() },
+        if cfg.snapshot {
+            format!("fork path, {early} runs cut short")
+        } else {
+            "reference replay".to_string()
+        },
     );
 }

@@ -163,37 +163,47 @@ fn experiments_md(r: &blackjack::ExperimentResult) -> String {
         "### Fork-at-injection (`BJ_SNAPSHOT`)\n\n\
          Injection campaigns share a long fault-free prefix: a wear-out fault\n\
          armed at cycle *C* behaves identically to a fault-free core until *C*.\n\
-         With `BJ_SNAPSHOT=1` (the default) each (mode, benchmark) group\n\
-         simulates that prefix once, snapshots the core just before each\n\
-         arming cycle, and hands every injection job a forked copy instead of\n\
-         replaying from cycle 0. The full `ext_detection` sweep reports byte\n\
-         for byte the same either way (`scripts/verify.sh` diffs it); timed\n\
-         both ways on a 1-core host:\n\n\
+         The detection campaign has two paths. `BJ_SNAPSHOT=1` (the default)\n\
+         is the *fork path*: each (mode, benchmark) group simulates its\n\
+         fault-free run once, snapshotting every 512 cycles, and hands every\n\
+         injection job a fork of the nearest snapshot, caught up to one cycle\n\
+         before its arming cycle, instead of replaying from cycle 0; each run\n\
+         then stops once its verdict is decided (next section).\n\
+         `BJ_SNAPSHOT=0` is the *reference*: every run replays from cycle 0 to\n\
+         its natural end. The full `ext_detection` sweep reports byte for byte\n\
+         the same on both (`scripts/verify.sh` diffs it). Timed interleaved on\n\
+         a 2-vCPU Intel Xeon VM (Linux 6.18), full sweep, 200 jobs, 1 worker,\n\
+         `BJ_SCALE=1`, 6 runs per path, the path run first alternating:\n\n\
+         | path | best | median | worst |\n|---|---|---|---|\n\
+         | reference (`BJ_SNAPSHOT=0`) | 7.69 s | 7.88 s | 8.66 s |\n\
+         | fork path (default) | 0.80 s | 0.96 s | 1.15 s |\n\
+         | **median speedup** | | **8.2\u{d7}** | |\n\n\
+         Recorded at PR 6 on a 1-core host (160 jobs), when the fork path\n\
+         paused exactly one cycle before each arm and had no early exit:\n\n\
          | path | wall-clock (160 jobs, 1 worker, `BJ_SCALE=1`) |\n|---|---|\n\
          | replay from cycle 0 (`BJ_SNAPSHOT=0`) | 3.59 s |\n\
          | fork from prefix snapshots (`BJ_SNAPSHOT=1`) | 1.08 s |\n\
          | **speedup** | **3.3\u{d7}** |\n\n\
-         The fork side got cheaper again in the early-exit PR: the manual\n\
-         `Core::clone_from` lets snapshot takes refresh retired snapshots'\n\
-         buffers in place instead of allocating fresh clones (PR 6 measured\n\
-         2.4\u{d7} on the same host).\n\n",
+         The manual `Core::clone_from` lets snapshot takes refresh retired\n\
+         snapshots' buffers in place instead of allocating fresh clones (PR 6\n\
+         measured 2.4\u{d7} before it, on the same host).\n\n",
     );
     s.push_str(
-        "### Verdict-convergence early exit (`BJ_EARLYEXIT`)\n\n\
+        "### Verdict-convergence early exit\n\n\
          Fork-at-injection removes the redundant prefix of every injection\n\
-         run; the early-exit layer (DESIGN \u{a7}2.12) removes the redundant\n\
-         suffix \u{2014} the cycles a run keeps simulating after its verdict is\n\
-         already decided. Three report-identical mechanisms: *activation\n\
-         pruning* tallies a site Benign with no simulation when the reference\n\
-         run never exercises it at or after arming; the *convergence seal*\n\
-         stops a zero-activation run one cycle past the site's last reference\n\
-         exercise; the *stall watchdog* declares Stuck after `BJ_STALL_CYCLES`\n\
-         of no progress instead of burning the full cycle budget.\n\
-         The full sweep reports byte for byte the same either way; timed both\n\
-         ways interleaved on a 1-core host (min-of-5 per leg):\n\n\
+         run; early exit (DESIGN \u{a7}2.12), part of the fork path, removes\n\
+         the redundant suffix \u{2014} the cycles a run keeps simulating after\n\
+         its verdict is already decided. Three report-identical mechanisms:\n\
+         *activation pruning* tallies a site Benign with no simulation when\n\
+         the reference run never exercises it at or after arming; the\n\
+         *convergence seal* stops a zero-activation run one cycle past the\n\
+         site's last reference exercise; the *stall watchdog* declares Stuck\n\
+         after 25 000 cycles of no progress instead of burning the full cycle\n\
+         budget. Recorded at PR 7 on a 1-core host, interleaved, min-of-5 per\n\
+         leg, when early exit had its own switch (since removed):\n\n\
          | path | wall-clock (160 jobs, 1 worker, `BJ_SCALE=1`) |\n|---|---|\n\
-         | full runs (`BJ_EARLYEXIT=0`, snapshots on) | 0.83 s |\n\
-         | early exit (`BJ_EARLYEXIT=1`) | 0.53 s |\n\
+         | full runs (early exit off, snapshots on) | 0.83 s |\n\
+         | early exit (on) | 0.53 s |\n\
          | **speedup** | **1.57\u{d7}** |\n\n\
          Attribution at this scale, read from the `metrics` record and pinned\n\
          by `scripts/verify.sh`: of the 200 injection sites, 68 are statically\n\

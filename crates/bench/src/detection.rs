@@ -5,8 +5,7 @@
 //! benchmark (`perfbench/`), and the equivalence tests all drive one
 //! implementation. The report text is fully
 //! deterministic — byte-identical for any worker count and for either
-//! value of `BJ_SNAPSHOT` and `BJ_EARLYEXIT` — which is the campaign's
-//! testable contract.
+//! value of `BJ_SNAPSHOT` — which is the campaign's testable contract.
 //!
 //! **Fault model.** Each site gets a stuck-at-style bit flip that *arms*
 //! partway through the run ([`blackjack::arming_schedule`]): the hardware
@@ -16,22 +15,21 @@
 //! mode) pair's fault-free cycle count, so every injection run sharing a
 //! (benchmark, mode) is identical up to its arming point.
 //!
-//! **Execution paths.** With `snapshot` off, every injection run replays
-//! from cycle 0. With it on (the default), each (mode, benchmark) group
-//! simulates the fault-free prefix once and every injection job forks
-//! from a snapshot ([`blackjack::SnapshotChain`]). Independently,
-//! `early_exit` (default on) stops each run the moment its verdict is
-//! decided, by three mechanisms (see [`EarlyExitKind`]); with it on, the
-//! group's fault-free pass is *instrumented* ([`SiteUsage`]) and — fork
-//! path — doubles as the periodic snapshot builder, so one reference
-//! pass does triple duty. All four path combinations compute the same
-//! arming schedule and the same verdicts, so their reports match byte
-//! for byte (`detection_equiv` tests enforce this).
+//! **Execution paths.** There are two. The *reference* (`snapshot`
+//! off) replays every injection run from cycle 0 to its natural end.
+//! The *fork path* (the default) runs each (mode, benchmark) group's
+//! fault-free pass once, *instrumented* ([`SiteUsage`]) and snapshotting
+//! as it goes ([`blackjack::SnapshotChain::build_periodic`]), so one
+//! reference pass does triple duty: cycle count, activation schedule,
+//! snapshots. Every injection job then forks from the nearest snapshot
+//! and stops the moment its verdict is decided, by three mechanisms (see
+//! [`EarlyExitKind`]). Both paths compute the same arming schedule and
+//! the same verdicts, so their reports match byte for byte
+//! (`detection_equiv` tests enforce this).
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use blackjack::envcfg::DEFAULT_STALL_CYCLES;
 use blackjack::faults::{
     Corruption, DetectionOutcome, DetectionTally, FaultKind, FaultPlan, FaultSite, HardFault,
     Taxonomy, TaxonomyTally, Trigger,
@@ -51,10 +49,16 @@ use blackjack_analysis::SiteAnalysis;
 /// Cycle budget per injection run — far above anything the kernels need.
 pub const MAX_CYCLES: u64 = 100_000_000;
 
-/// Snapshot spacing for the early-exit path's periodic chain: forks catch
-/// up at most this many fault-free cycles, while the chain stays a few
+/// Snapshot spacing for the fork path's periodic chain: forks catch up
+/// at most this many fault-free cycles, while the chain stays a few
 /// dozen snapshots deep for the campaign kernels.
 pub const SNAPSHOT_INTERVAL: u64 = 512;
+
+/// The fork path's stall-watchdog window: cycles without commit progress
+/// before a run is declared stuck. Generous against the longest natural
+/// commit gaps in the campaign workloads (hundreds of cycles) while still
+/// orders of magnitude below [`MAX_CYCLES`].
+pub const STALL_CYCLES: u64 = 25_000;
 
 /// The modes under test, in report order.
 pub const MODES: [Mode; 2] = [Mode::Srt, Mode::BlackJack];
@@ -104,24 +108,18 @@ pub fn armed_plan_kind(site: FaultSite, arm: u64, kind: FaultKind) -> FaultPlan 
 }
 
 /// The campaign's switches, normally read from the environment
-/// ([`DetectionConfig::from_env_or_exit`]). All four combinations of
-/// `snapshot` × `early_exit` produce byte-identical reports; the flags
-/// exist so the equivalence is checkable and each optimization
-/// benchmarkable in isolation.
+/// ([`DetectionConfig::from_env_or_exit`]). Both values of `snapshot`
+/// produce byte-identical reports; the switch exists so the fork path
+/// can be checked against the reference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DetectionConfig {
     /// Skip simulating sites statically proven unexercisable
     /// (`BJ_PRUNE`, default on).
     pub prune: bool,
-    /// Fork injection runs from fault-free-prefix snapshots instead of
-    /// replaying from cycle 0 (`BJ_SNAPSHOT`, default on).
+    /// Take the fork path — snapshot forks plus early exit — instead of
+    /// the reference replay from cycle 0 to each run's natural end
+    /// (`BJ_SNAPSHOT`, default on).
     pub snapshot: bool,
-    /// Stop each injection run the moment its verdict is decided
-    /// (`BJ_EARLYEXIT`, default on).
-    pub early_exit: bool,
-    /// The early-exit stall watchdog's no-progress window in cycles
-    /// (`BJ_STALL_CYCLES`).
-    pub stall_cycles: u64,
     /// The temporal fault model every injection in the campaign uses
     /// (one entry of `BJ_FAULT_KINDS`; the harness runs one campaign per
     /// listed kind). [`FaultKind::Hard`] is the byte-stable legacy sweep.
@@ -136,8 +134,6 @@ impl Default for DetectionConfig {
         DetectionConfig {
             prune: true,
             snapshot: true,
-            early_exit: true,
-            stall_cycles: DEFAULT_STALL_CYCLES,
             kind: FaultKind::Hard,
             ecc: false,
         }
@@ -145,9 +141,8 @@ impl Default for DetectionConfig {
 }
 
 impl DetectionConfig {
-    /// Reads `BJ_PRUNE`, `BJ_SNAPSHOT`, `BJ_EARLYEXIT`,
-    /// `BJ_STALL_CYCLES` and `BJ_ECC`, exiting with status 2 (the
-    /// harness convention) on a malformed value. `kind` stays
+    /// Reads `BJ_PRUNE`, `BJ_SNAPSHOT` and `BJ_ECC`, exiting with
+    /// status 2 (the harness convention) on a malformed value. `kind` stays
     /// [`FaultKind::Hard`]; the harness overrides it per `BJ_FAULT_KINDS`
     /// entry.
     pub fn from_env_or_exit() -> DetectionConfig {
@@ -158,9 +153,6 @@ impl DetectionConfig {
         DetectionConfig {
             prune: or_exit(envcfg::flag_from_env("BJ_PRUNE", true)),
             snapshot: or_exit(envcfg::snapshot_from_env()),
-            early_exit: or_exit(envcfg::earlyexit_from_env()),
-            stall_cycles: envcfg::stall_cycles_from_env()
-                .unwrap_or_else(|e| envcfg::exit_invalid(&e)),
             kind: FaultKind::Hard,
             ecc: or_exit(envcfg::ecc_from_env()),
         }
@@ -175,9 +167,10 @@ impl DetectionConfig {
     }
 }
 
-/// Which early-exit mechanism decided a run before its natural end — the
-/// benchmark attribution. Deliberately *outside* [`DetectionTally`] and
-/// the report text, which must stay byte-identical with early exit off.
+/// Which early-exit mechanism of the fork path decided a run before its
+/// natural end — the benchmark attribution. Deliberately *outside*
+/// [`DetectionTally`] and the report text, which must stay byte-identical
+/// to the reference's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EarlyExitKind {
     /// The reference pass never exercises the site at or after the
@@ -212,13 +205,12 @@ pub struct DetectionGroup {
     pub fault_free_cycles: u64,
     /// Per-site arming cycles, indexed like [`sites`].
     pub arms: Vec<u64>,
-    /// Snapshots of the fault-free prefix, when the fork path is
-    /// enabled: exact per-arm pauses normally, periodic
-    /// ([`SNAPSHOT_INTERVAL`]) with early exit on.
+    /// Periodic ([`SNAPSHOT_INTERVAL`]) snapshots of the fault-free
+    /// pass on the fork path; `None` on the reference.
     pub chain: Option<SnapshotChain>,
-    /// Per-site last-exercise cycles from the instrumented reference
-    /// pass — the early-exit activation schedule (`None` with early
-    /// exit off).
+    /// Per-site last-exercise cycles from the instrumented fault-free
+    /// pass — the early-exit activation schedule (`None` on the
+    /// reference).
     pub site_usage: Option<SiteUsage>,
 }
 
@@ -236,23 +228,11 @@ impl DetectionGroup {
     /// that fixes the arming schedule. `golden` is the benchmark's
     /// completed functional run ([`golden_run`]) — mode-independent, so
     /// the caller builds it once per benchmark and shares it between the
-    /// modes' groups. With early exit on, the fault-free pass is
-    /// instrumented for site usage and (fork path) doubles as the
-    /// periodic snapshot builder; otherwise the fork path builds its
-    /// exact chain in a second pass over the non-pruned sites' arms.
-    pub fn build(
-        mode: Mode,
-        bench: Benchmark,
-        cfg: DetectionConfig,
-        golden: Arc<Interp>,
-    ) -> DetectionGroup {
-        DetectionGroup::build_observed(mode, bench, cfg, golden, &mut Metrics::Off, None)
-    }
-
-    /// [`DetectionGroup::build`] recording setup/snapshot wall time, the
-    /// chain's build accounting, and the snapshot-reuse tally into
-    /// `metrics` and `meter` (either may be off/absent; with
-    /// [`Metrics::Off`] and no meter this is exactly `build`).
+    /// modes' groups. On the fork path the fault-free pass is
+    /// instrumented for site usage and doubles as the periodic snapshot
+    /// builder. Setup/snapshot wall time, the chain's build accounting,
+    /// and the snapshot-reuse tally go to `metrics` and `meter` (either
+    /// may be off/absent).
     pub fn build_observed(
         mode: Mode,
         bench: Benchmark,
@@ -266,18 +246,15 @@ impl DetectionGroup {
         let analysis = SiteAnalysis::analyze(&prog, &FuCounts::default())
             .expect("workload programs are analyzable");
 
-        // Every path runs the fault-free pass: the arming schedule is
+        // Both paths run the fault-free pass: the arming schedule is
         // derived from its cycle count, and identical arms are what make
-        // all the paths' reports byte-identical.
+        // the two paths' reports byte-identical. On the fork path the
+        // pass builds the snapshots, so its wall time counts as snapshot
+        // time; on the reference it only fixes the schedule and counts
+        // as setup.
         let mut ff = Core::new(cfg.core_config(mode), &prog, FaultPlan::new());
-        if cfg.early_exit {
+        let (fault_free_cycles, site_usage, chain, snap_nanos) = if cfg.snapshot {
             ff.enable_site_usage();
-        }
-        // Wall time attribution: a reference pass that builds snapshots
-        // counts as snapshot time; one that only fixes the arming
-        // schedule counts as setup.
-        let mut snap_nanos = 0u64;
-        let (fault_free_cycles, site_usage, periodic) = if cfg.early_exit && cfg.snapshot {
             let ts = Instant::now();
             let (chain, mut done) = SnapshotChain::build_periodic(
                 ff,
@@ -285,36 +262,13 @@ impl DetectionGroup {
                 MAX_CYCLES,
                 Some(golden.icount()),
             );
-            snap_nanos += ts.elapsed().as_nanos() as u64;
-            (done.cycle(), done.take_site_usage(), Some(chain))
+            let snap_nanos = ts.elapsed().as_nanos() as u64;
+            (done.cycle(), done.take_site_usage(), Some(chain), snap_nanos)
         } else {
             assert!(ff.run(MAX_CYCLES).completed(), "fault-free runs must complete");
-            (ff.cycle(), ff.take_site_usage(), None)
+            (ff.cycle(), None, None, 0)
         };
-
-        let all = sites();
-        let arms = arming_schedule(fault_free_cycles, all.len());
-        let chain = if cfg.early_exit {
-            periodic
-        } else {
-            cfg.snapshot.then(|| {
-                // Pruned sites never simulate, so they contribute no
-                // snapshot; the chain pauses only at live arming points.
-                let live: Vec<u64> = all
-                    .iter()
-                    .zip(&arms)
-                    .filter(|&(&s, _)| !(cfg.prune && analysis.prunable(s)))
-                    .map(|(_, &a)| a)
-                    .collect();
-                let ts = Instant::now();
-                let chain = SnapshotChain::build(
-                    Core::new(cfg.core_config(mode), &prog, FaultPlan::new()),
-                    &live,
-                );
-                snap_nanos += ts.elapsed().as_nanos() as u64;
-                chain
-            })
-        };
+        let arms = arming_schedule(fault_free_cycles, sites().len());
         if let Some(chain) = &chain {
             let s = chain.stats();
             metrics.add(Counter::SnapshotsTaken, s.taken);
@@ -345,21 +299,13 @@ impl DetectionGroup {
     /// One injection run: site `site_idx` of [`sites`], tallied both in
     /// the legacy detect/escape table and the CE/DUE/SDC taxonomy, with
     /// the early-exit mechanism that decided it (if any). A pruned site
-    /// is tallied benign without simulating; an activation-pruned site
-    /// likewise (mechanism 1); otherwise the core forks from the group's
-    /// chain (or replays from cycle 0) with mechanisms 2 and 3 armed when
-    /// early exit is on.
-    pub fn injection_tally(
-        &self,
-        site_idx: usize,
-    ) -> (DetectionTally, TaxonomyTally, Option<EarlyExitKind>) {
-        self.injection_tally_observed(site_idx, &mut Metrics::Off, None)
-    }
-
-    /// [`DetectionGroup::injection_tally`] recording run accounting —
-    /// prune attribution, fork count/latency/catch-up distance, simulate
-    /// and oracle wall time, exit reason — into `metrics` and the live
-    /// `meter` (either may be off/absent).
+    /// is tallied benign without simulating; on the fork path an
+    /// activation-pruned site likewise (mechanism 1), and otherwise the
+    /// core forks from the group's chain with mechanisms 2 and 3 armed.
+    /// The reference replays from cycle 0 to the natural end. Prune
+    /// attribution, fork count/latency/catch-up distance, simulate and
+    /// oracle wall time, and the exit reason go to `metrics` and the
+    /// live `meter` (either may be off/absent).
     pub fn injection_tally_observed(
         &self,
         site_idx: usize,
@@ -398,32 +344,28 @@ impl DetectionGroup {
         }
         let plan = armed_plan_kind(site, arm, self.cfg.kind);
         let forked = self.chain.is_some();
-        let tf = Instant::now();
         let mut core = match &self.chain {
-            // The periodic chain rarely paused exactly at arm - 1; catch
-            // up the few fault-free cycles in between.
-            Some(chain) if self.cfg.early_exit => {
+            Some(chain) => {
+                // The periodic chain rarely paused exactly at arm - 1;
+                // catch up the few fault-free cycles in between.
                 if metrics.is_on() {
                     metrics.record_catchup(chain.catchup_cycles(arm));
                 }
-                chain.fork_catchup(arm, plan)
+                let tf = Instant::now();
+                let mut core = chain.fork_catchup(arm, plan);
+                metrics.inc(Counter::SnapshotForks);
+                metrics.add(Counter::SnapshotForkNanos, tf.elapsed().as_nanos() as u64);
+                // Mechanism 3 — stall watchdog.
+                core.set_stall_window(Some(STALL_CYCLES));
+                // Mechanism 2 — convergence seal one cycle past the
+                // site's last exercise in the fault-free pass.
+                if let Some(Some(l)) = last {
+                    core.set_quiesce_cycle(Some(l + 1));
+                }
+                core
             }
-            Some(chain) => chain.fork(arm, plan),
             None => Core::new(self.cfg.core_config(self.mode), &self.prog, plan),
         };
-        if forked {
-            metrics.inc(Counter::SnapshotForks);
-            metrics.add(Counter::SnapshotForkNanos, tf.elapsed().as_nanos() as u64);
-        }
-        if self.cfg.early_exit {
-            // Mechanism 3 — stall watchdog.
-            core.set_stall_window(Some(self.cfg.stall_cycles));
-            // Mechanism 2 — convergence seal one cycle past the site's
-            // last exercise in the reference run.
-            if let Some(Some(l)) = last {
-                core.set_quiesce_cycle(Some(l + 1));
-            }
-        }
         let (outcome, kind) = outcome_of_observed(&mut core, &self.golden, metrics);
         if let Some(m) = meter {
             m.note_run(forked);
@@ -433,9 +375,9 @@ impl DetectionGroup {
                 _ => {}
             }
         }
-        // Zero activations imply zero corrections, so the early-exit
-        // paths (which never see a correction by construction) agree
-        // with the natural-end runs on the CE/benign split.
+        // Zero activations imply zero corrections, so early exits (which
+        // never see a correction by construction) agree with the
+        // natural-end runs on the CE/benign split.
         let corrected = core.stats().ecc_corrected > 0;
         (
             DetectionTally::of(outcome),
@@ -455,13 +397,9 @@ pub fn golden_run(prog: &Program) -> Interp {
 }
 
 /// Drives `core` to its end and classifies the run against the golden
-/// memory image, attributing any early exit to its mechanism.
-pub fn outcome_of(core: &mut Core, golden: &Interp) -> (DetectionOutcome, Option<EarlyExitKind>) {
-    outcome_of_observed(core, golden, &mut Metrics::Off)
-}
-
-/// [`outcome_of`] recording the run's simulate-phase wall stamp, its
-/// exit reason, and the oracle (golden memory compare) wall time.
+/// memory image, attributing any early exit to its mechanism. Records
+/// the run's simulate-phase wall stamp, its exit reason, and the oracle
+/// (golden memory compare) wall time.
 pub fn outcome_of_observed(
     core: &mut Core,
     golden: &Interp,
@@ -523,9 +461,9 @@ pub struct DetectionReport {
     /// runs as `tallies`, classified on the reliability axis.
     pub taxonomies: Vec<(Mode, TaxonomyTally)>,
     /// Which early-exit mechanism decided each job, in job order (`None`
-    /// when the run went to its natural end — always, with early exit
-    /// off). Kept apart from `tallies` so the report text and the
-    /// equivalence tests see identical tallies on every path.
+    /// when the run went to its natural end — always, on the
+    /// reference). Kept apart from `tallies` so the report text and the
+    /// equivalence tests see identical tallies on both paths.
     pub early_exits: Vec<Option<EarlyExitKind>>,
     /// `mode/bench/site` label per job, in job order.
     pub labels: Vec<String>,
@@ -588,9 +526,8 @@ pub fn run_detection(
 
 /// [`run_detection`] with the full observability surface: scheduling
 /// telemetry, the metrics registry, and live progress streaming, each
-/// opt-in through `ctl`. With everything off this takes exactly the
-/// unobserved paths (including the single-worker depth-first one), so
-/// the default campaign pays nothing.
+/// opt-in through `ctl`. With everything off on one worker this takes
+/// the depth-first schedule, so the default campaign pays nothing.
 pub fn run_detection_observed(
     campaign: &Campaign,
     cfg: DetectionConfig,
@@ -635,13 +572,34 @@ pub fn run_detection_observed(
         })
         .collect();
 
-    // The observed path stages manually so both fan-outs go through
-    // `run_observed` — the engine counts jobs and stamps job latency the
-    // same way at any worker count, which is what makes the merged
-    // registry's deterministic prefix worker-count-invariant. The
-    // unobserved paths are exactly the previous `run_staged` /
-    // depth-first code.
-    let (groups, results, trace, registry) = if observing {
+    // Two schedules. Depth-first, on one unobserved worker: breadth-first
+    // staging (all setups, then all jobs) buys no parallelism there but
+    // keeps every group's snapshot chain — tens of MB each — live at
+    // once, wrecking cache locality for the later groups. Instead each
+    // group's jobs run right after its setup, and the fork machinery is
+    // dropped before the next group starts, so exactly one chain is hot
+    // at a time. Otherwise staged: setups, then jobs, both fanned out
+    // through `run_observed` — the engine counts jobs and stamps job
+    // latency the same way at any worker count, which is what makes the
+    // merged registry's deterministic prefix worker-count-invariant.
+    // Results are index-ordered either way, so the report is unchanged
+    // (covered by the worker-count equivalence test).
+    let (groups, results, trace, registry) = if campaign.workers() == 1 && !observing {
+        let mut groups = Vec::with_capacity(setups.len());
+        let mut results = Vec::with_capacity(jobs.len());
+        let mut jobs = jobs.into_iter();
+        for (g, setup) in setups.into_iter().enumerate() {
+            let mut group = setup(&mut Metrics::Off);
+            for _ in 0..ns {
+                let (jg, f) = jobs.next().expect("one job per (group, site)");
+                debug_assert_eq!(jg, g, "jobs must be grouped contiguously");
+                results.push(f(&group, &mut Metrics::Off));
+            }
+            group.release_fork_state();
+            groups.push(group);
+        }
+        (groups, results, None, None)
+    } else {
         let setup_obs = campaign
             .run_observed(setups, ObserveOpts { timings: false, metrics: ctl.metrics, progress: None });
         let groups = setup_obs.results;
@@ -671,39 +629,6 @@ pub fn run_detection_observed(
             merged
         });
         (groups, job_obs.results, job_obs.trace, registry)
-    } else if campaign.workers() == 1 {
-        // Depth-first: with a single worker, breadth-first staging (all
-        // setups, then all jobs) buys no parallelism but keeps every
-        // group's snapshot chain — tens of MB each — live at once,
-        // wrecking cache locality for the later groups. Run each
-        // group's jobs right after its setup and drop the fork
-        // machinery before the next group starts, so exactly one chain
-        // is hot at a time. Results are index-ordered either way, so
-        // the report is unchanged (covered by the worker-count
-        // equivalence test).
-        let mut groups = Vec::with_capacity(setups.len());
-        let mut results = Vec::with_capacity(jobs.len());
-        let mut jobs = jobs.into_iter();
-        for (g, setup) in setups.into_iter().enumerate() {
-            let mut group = setup(&mut Metrics::Off);
-            for _ in 0..ns {
-                let (jg, f) = jobs.next().expect("one job per (group, site)");
-                debug_assert_eq!(jg, g, "jobs must be grouped contiguously");
-                results.push(f(&group, &mut Metrics::Off));
-            }
-            group.release_fork_state();
-            groups.push(group);
-        }
-        (groups, results, None, None)
-    } else {
-        let setups: Vec<_> =
-            setups.into_iter().map(|s| move || s(&mut Metrics::Off)).collect();
-        let jobs: Vec<(usize, _)> = jobs
-            .into_iter()
-            .map(|(g, f)| (g, move |grp: &DetectionGroup| f(grp, &mut Metrics::Off)))
-            .collect();
-        let (groups, results) = campaign.run_staged(setups, jobs);
-        (groups, results, None, None)
     };
     let t_reassembly = Instant::now();
     let tallies: Vec<(Mode, DetectionTally)> =
@@ -746,7 +671,7 @@ pub fn run_detection_observed(
 /// benchmark groups of one mode (the analysis and pruning facts are
 /// mode-independent), in benchmark order. Worker counts and wall-clock
 /// are deliberately absent — the report is byte-identical for any
-/// `BJ_THREADS` and every `BJ_SNAPSHOT` / `BJ_EARLYEXIT` path.
+/// `BJ_THREADS` and either `BJ_SNAPSHOT` path.
 fn report_text(
     cfg: DetectionConfig,
     benchmarks: &[Benchmark],

@@ -19,13 +19,11 @@ use blackjack::{envcfg, Experiment};
 pub mod detection;
 
 /// Builds the standard experiment at the scale used by the harnesses
-/// (`BJ_SCALE`, default 1) with the snapshot-fork path from the
-/// environment (`BJ_SNAPSHOT`, default on), exiting with a clear message
-/// when an override is malformed.
+/// (`BJ_SCALE`, default 1), exiting with a clear message when the
+/// override is malformed.
 pub fn standard_experiment() -> Experiment {
     let scale = envcfg::positive_from_env::<u32>("BJ_SCALE")
         .unwrap_or_else(|e| envcfg::exit_invalid(&e))
         .unwrap_or(1);
-    let snapshot = envcfg::snapshot_from_env().unwrap_or_else(|e| envcfg::exit_invalid(&e));
-    Experiment::new().scale(scale).with_snapshot(snapshot)
+    Experiment::new().scale(scale)
 }

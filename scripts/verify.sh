@@ -43,21 +43,17 @@ rendered="$(cargo run --release -q --offline -p blackjack-bench --bin bj-trace -
 echo "$rendered" | grep -q "flight recorder:"
 echo "$rendered" | grep -q "detection:"
 
-echo "== tier-1: ext_detection full-sweep equivalence (BJ_SNAPSHOT x BJ_EARLYEXIT) =="
-# The full default sweep three ways: replay from cycle 0 with every run
-# to its natural end, then forking from snapshots, then forking with
-# early exit and the metrics registry on. Neither layer may show in the
-# report: stdout is byte-identical across all three. (Snapshot off with
-# early exit on is covered by the detection_equiv test.)
+echo "== tier-1: ext_detection full-sweep equivalence (reference vs fork path) =="
+# The full default sweep two ways: the reference (BJ_SNAPSHOT=0: replay
+# from cycle 0, every run to its natural end), then the fork path
+# (snapshot forks plus early exit) with the metrics registry on. The
+# fork path may not show in the report: stdout is byte-identical.
 sweep_trace="$tmp/sweep.jsonl"
-sweep_ref="$(BJ_SCALE=1 BJ_SNAPSHOT=0 BJ_EARLYEXIT=0 cargo run --release -q --offline \
-  -p blackjack-bench --bin ext_detection 2>/dev/null)"
-sweep_fork="$(BJ_SCALE=1 BJ_EARLYEXIT=0 cargo run --release -q --offline \
+sweep_ref="$(BJ_SCALE=1 BJ_SNAPSHOT=0 cargo run --release -q --offline \
   -p blackjack-bench --bin ext_detection 2>/dev/null)"
 sweep_fast="$(BJ_SCALE=1 BJ_METRICS=1 BJ_TRACE="$sweep_trace" cargo run --release -q --offline \
   -p blackjack-bench --bin ext_detection 2>/dev/null)"
 [ -n "$sweep_ref" ]
-diff <(printf '%s' "$sweep_ref") <(printf '%s' "$sweep_fork")
 diff <(printf '%s' "$sweep_ref") <(printf '%s' "$sweep_fast")
 # The metrics record's deterministic counters are the same for any
 # worker count; pin them, so a change in how many runs are simulated,
@@ -137,14 +133,16 @@ BJ_FUZZ_ITERS=50 BJ_FAULT_KINDS=hard,transient,intermittent BJ_ECC=1 \
   cargo run --release -q --offline -p blackjack-fuzz --bin bj-fuzz -- \
   --seed 0xB1AC --quiet | grep -q "all checks passed"
 
-echo "== tier-1: perfbench fuzz smoke (the benchmark builds and its references hold) =="
+echo "== tier-1: perfbench smoke (the benchmark builds and its references hold) =="
 # The benchmark is its own Cargo workspace over the library's crates, so
-# the build above does not cover it. One short fuzz run must build, match
-# its committed references, and fail no operation.
-bench_line="$(cargo run --release -q --offline --manifest-path perfbench/Cargo.toml -- \
-  --workload fuzz --seed 1 --seconds 1 --trace 0 | tail -1)"
-echo "$bench_line" | grep -q '"correct": true'
-echo "$bench_line" | grep -q '"failed": 0,'
+# the build above does not cover it. One short run of each workload must
+# build, match its committed references, and fail no operation.
+for workload in fuzz figures inject; do
+  bench_line="$(cargo run --release -q --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -1)"
+  echo "$bench_line" | grep -q '"correct": true' || { echo "perfbench $workload: not correct"; exit 1; }
+  echo "$bench_line" | grep -q '"failed": 0,' || { echo "perfbench $workload: failed ops"; exit 1; }
+done
 
 echo "== tier-1: tracked files unchanged =="
 status_after="$(git status --porcelain)"

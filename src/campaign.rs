@@ -84,7 +84,7 @@ impl Campaign {
 
     /// Executes every job and returns the results **in job order**,
     /// regardless of which worker ran which job or in what order they
-    /// finished.
+    /// finished — [`Campaign::run_observed`] with every observation off.
     ///
     /// # Panics
     ///
@@ -94,94 +94,11 @@ impl Campaign {
         T: Send,
         F: FnOnce() -> T + Send,
     {
-        let n = jobs.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        // Single worker: run inline, no thread overhead (and exact
-        // sequential semantics for debugging).
-        if self.workers == 1 || n == 1 {
-            return jobs.into_iter().map(|j| j()).collect();
-        }
-
-        let slots: Vec<Mutex<Option<F>>> =
-            jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
-        let results: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        let workers = self.workers.min(n);
-
-        thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    // The shared index is the work-stealing heart: a
-                    // worker that finishes early immediately claims the
-                    // next unstarted job.
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let job = slots[i]
-                        .lock()
-                        .expect("job slot poisoned")
-                        .take()
-                        .expect("each job claimed exactly once");
-                    let out = job();
-                    *results[i].lock().expect("result slot poisoned") = Some(out);
-                });
-            }
-        });
-
-        results
-            .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .expect("result slot poisoned")
-                    .expect("every job index below n was executed")
-            })
-            .collect()
-    }
-
-    /// Two-phase campaign: build shared per-group state in parallel, then
-    /// fan out jobs that borrow it read-only.
-    ///
-    /// `setups[g]` produces group `g`'s shared state (a program + golden
-    /// run, a snapshot chain, …); each `(g, job)` in `jobs` then runs with
-    /// `&` access to that state. Both phases go through [`Campaign::run`],
-    /// so results come back in job order and are bit-identical for any
-    /// worker count. The setup phase is a barrier — no job starts until
-    /// every group's state exists — which is what lets jobs index any
-    /// group, not just their own.
-    ///
-    /// Returns the group states alongside the job results — reports often
-    /// need facts computed during setup (schedules, analyses).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a job names a group index with no setup.
-    pub fn run_staged<G, S, T, F>(&self, setups: Vec<S>, jobs: Vec<(usize, F)>) -> (Vec<G>, Vec<T>)
-    where
-        G: Send + Sync,
-        S: FnOnce() -> G + Send,
-        T: Send,
-        F: FnOnce(&G) -> T + Send,
-    {
-        let groups = self.run(setups);
-        let groups_ref = &groups;
-        let results = self.run(
-            jobs.into_iter()
-                .map(|(g, f)| {
-                    move || {
-                        f(groups_ref.get(g).unwrap_or_else(|| {
-                            panic!(
-                                "job references group {g} but only {} setups ran",
-                                groups_ref.len()
-                            )
-                        }))
-                    }
-                })
-                .collect(),
-        );
-        (groups, results)
+        self.run_observed(
+            jobs.into_iter().map(|j| move |_: &mut Metrics| j()).collect(),
+            ObserveOpts::default(),
+        )
+        .results
     }
 
     /// [`Campaign::run`] plus per-job telemetry: which worker ran each
@@ -205,17 +122,18 @@ impl Campaign {
         (obs.results, obs.trace.expect("timings were requested"))
     }
 
-    /// The fully-observed fan-out: [`Campaign::run`]'s determinism
-    /// contract plus, each opt-in:
+    /// The campaign's one worker pool: runs every job and returns the
+    /// results in job order (bit-identical for any worker count), plus,
+    /// each opt-in:
     ///
     /// * **timings** — per-job scheduling records ([`CampaignTrace`]),
     /// * **metrics** — one [`MetricsRegistry`] shard per worker; each job
     ///   receives `&mut Metrics` (the worker's shard, or [`Metrics::Off`]
-    ///   when metrics are off — the off path shares `run`'s zero
-    ///   overhead). The engine itself records [`Counter::Jobs`] and the
-    ///   job-latency histogram into each shard; jobs add their domain
-    ///   counters — never config facts like the worker count, so shard
-    ///   merges stay byte-identical across worker counts. Shards
+    ///   when metrics are off). The engine itself records
+    ///   [`Counter::Jobs`] and the job-latency histogram into each
+    ///   shard; jobs add their domain counters — never config facts
+    ///   like the worker count, so shard merges stay byte-identical
+    ///   across worker counts. Shards
     ///   come back in worker-index order; merging them (any order — the
     ///   algebra commutes) yields totals that are byte-identical for any
     ///   worker count.
@@ -308,6 +226,9 @@ impl Campaign {
                 s.spawn(move || {
                     let mut metrics = Metrics::when(opts_ref.metrics);
                     loop {
+                        // The shared index is the work-stealing heart: a
+                        // worker that finishes early immediately claims
+                        // the next unstarted job.
                         let i = next_ref.fetch_add(1, Ordering::Relaxed);
                         if i >= n {
                             break;
@@ -556,19 +477,6 @@ mod tests {
         assert_eq!(got.len(), 40);
         for (slot, (i, _)) in got.iter().enumerate() {
             assert_eq!(slot as u64, *i, "result landed in the wrong slot");
-        }
-    }
-
-    #[test]
-    fn run_staged_shares_group_state_in_job_order() {
-        for workers in [1, 4] {
-            let setups: Vec<_> = (0..3u64).map(|g| move || g * 100).collect();
-            let jobs: Vec<(usize, _)> =
-                (0..12u64).map(|i| ((i % 3) as usize, move |base: &u64| base + i)).collect();
-            let (groups, got) = Campaign::with_workers(workers).run_staged(setups, jobs);
-            assert_eq!(groups, vec![0, 100, 200], "{workers} workers: setups in group order");
-            let expect: Vec<u64> = (0..12).map(|i| (i % 3) * 100 + i).collect();
-            assert_eq!(got, expect, "{workers} workers");
         }
     }
 

@@ -187,47 +187,18 @@ pub fn flag_from_env(var: &'static str, default: bool) -> Result<bool, EnvError>
     }
 }
 
-/// Reads the `BJ_SNAPSHOT` flag: whether injection campaigns share the
-/// fault-free prefix through snapshot forks (default) or replay every run
-/// from cycle 0. The two paths produce byte-identical reports; the flag
-/// exists so the equivalence is checkable and the old path benchmarkable.
+/// Reads the `BJ_SNAPSHOT` flag: whether injection campaigns take the
+/// fork path (default) — snapshot forks of the shared fault-free prefix,
+/// with each run stopping the moment its verdict is decided — or the
+/// reference replay, every run from cycle 0 to its natural end. The two
+/// paths produce byte-identical reports; the flag exists so the fork path
+/// can be checked against the reference.
 ///
 /// # Errors
 ///
 /// [`EnvError::NotAFlag`] for set, non-empty, non-flag values.
 pub fn snapshot_from_env() -> Result<bool, EnvError> {
     flag_from_env("BJ_SNAPSHOT", true)
-}
-
-/// Reads the `BJ_EARLYEXIT` flag: whether injection runs may stop the
-/// moment their verdict is decided (default) — skipping provably-dead
-/// fault sites, sealing benign verdicts at reconvergence, and cutting
-/// stuck runs short with a stall watchdog — or must run to their natural
-/// end. Both settings produce byte-identical reports; the flag exists so
-/// the equivalence is checkable and the full-run path benchmarkable.
-///
-/// # Errors
-///
-/// [`EnvError::NotAFlag`] for set, non-empty, non-flag values.
-pub fn earlyexit_from_env() -> Result<bool, EnvError> {
-    flag_from_env("BJ_EARLYEXIT", true)
-}
-
-/// Default no-progress window (cycles) for the early-exit stall
-/// watchdog — generous against the longest natural commit gaps seen in
-/// the campaign workloads (hundreds of cycles) while still orders of
-/// magnitude below the campaign cycle budget.
-pub const DEFAULT_STALL_CYCLES: u64 = 25_000;
-
-/// Reads `BJ_STALL_CYCLES`: the early-exit watchdog's no-progress window
-/// in cycles ([`DEFAULT_STALL_CYCLES`] when unset). Zero is rejected — a
-/// zero window would declare every run stuck on its first idle cycle.
-///
-/// # Errors
-///
-/// [`EnvError::NotANumber`] / [`EnvError::Zero`] per [`parse_positive`].
-pub fn stall_cycles_from_env() -> Result<u64, EnvError> {
-    Ok(positive_from_env::<u64>("BJ_STALL_CYCLES")?.unwrap_or(DEFAULT_STALL_CYCLES))
 }
 
 /// Reads `var` from the environment as a path that must be writable
@@ -533,18 +504,6 @@ mod tests {
     }
 
     #[test]
-    fn earlyexit_flag_accepts_and_rejects_like_snapshot() {
-        assert_eq!(parse_flag("BJ_EARLYEXIT", "on"), Ok(true));
-        assert_eq!(parse_flag("BJ_EARLYEXIT", "no"), Ok(false));
-        let err = parse_flag("BJ_EARLYEXIT", "fast").unwrap_err();
-        assert_eq!(err, EnvError::NotAFlag { var: "BJ_EARLYEXIT", value: "fast".to_string() });
-        assert!(err.to_string().contains("BJ_EARLYEXIT"));
-        if std::env::var("BJ_EARLYEXIT").is_err() {
-            assert_eq!(earlyexit_from_env(), Ok(true));
-        }
-    }
-
-    #[test]
     fn call_depth_rejects_zero_and_defaults_when_unset() {
         assert_eq!(parse_positive::<usize>("BJ_CALL_DEPTH", "3"), Ok(3));
         assert_eq!(parse_positive::<usize>("BJ_CALL_DEPTH", "1"), Ok(1));
@@ -656,22 +615,6 @@ mod tests {
         // byte-stable legacy configuration.
         if std::env::var("BJ_ECC").is_err() {
             assert_eq!(ecc_from_env(), Ok(false));
-        }
-    }
-
-    #[test]
-    fn stall_cycles_rejects_zero_and_defaults_when_unset() {
-        assert_eq!(parse_positive::<u64>("BJ_STALL_CYCLES", "5000"), Ok(5000));
-        assert_eq!(
-            parse_positive::<u64>("BJ_STALL_CYCLES", "0"),
-            Err(EnvError::Zero { var: "BJ_STALL_CYCLES" })
-        );
-        assert_eq!(
-            parse_positive::<u64>("BJ_STALL_CYCLES", "soon"),
-            Err(EnvError::NotANumber { var: "BJ_STALL_CYCLES", value: "soon".to_string() })
-        );
-        if std::env::var("BJ_STALL_CYCLES").is_err() {
-            assert_eq!(stall_cycles_from_env(), Ok(DEFAULT_STALL_CYCLES));
         }
     }
 }

@@ -26,7 +26,6 @@ pub struct Experiment {
     max_cycles: u64,
     base: CoreConfig,
     trace: bool,
-    snapshot: bool,
 }
 
 impl Default for Experiment {
@@ -44,7 +43,6 @@ impl Experiment {
             max_cycles: DEFAULT_MAX_CYCLES,
             base: CoreConfig::default(),
             trace: false,
-            snapshot: true,
         }
     }
 
@@ -74,18 +72,6 @@ impl Experiment {
         self
     }
 
-    /// Routes every run through the snapshot-fork machinery
-    /// ([`Core::snapshot`] at cycle 0, then a fork) instead of driving
-    /// the constructed core directly. On by default (`BJ_SNAPSHOT`): the
-    /// figure runs are fault-free, so there is no prefix to share and no
-    /// speed to gain here, but the figures then *prove* restore-exactness
-    /// on every benchmark × mode — the tables must be byte-identical
-    /// either way.
-    pub fn with_snapshot(mut self, snapshot: bool) -> Experiment {
-        self.snapshot = snapshot;
-        self
-    }
-
     /// The base configuration.
     pub fn base_config(&self) -> &CoreConfig {
         &self.base
@@ -101,12 +87,6 @@ impl Experiment {
         let mut cfg = self.base.clone();
         cfg.mode = mode;
         let mut core = Core::new(cfg, &prog, FaultPlan::new());
-        if self.snapshot {
-            // Fork-at-cycle-0: the run goes through the same snapshot
-            // machinery the injection campaigns use, so the figure tables
-            // continuously re-verify restore-exactness.
-            core = core.snapshot().fork(FaultPlan::new());
-        }
         if self.trace {
             core.enable_trace();
         }

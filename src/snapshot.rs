@@ -4,32 +4,22 @@
 //! triple is identical up to its fault's arming cycle — the hardware is
 //! healthy until the wear-out defect develops. Replaying that common
 //! prefix from cycle 0 for every fault site dominates campaign wall time.
-//! This module simulates the prefix *once*: a fault-free core is driven
-//! forward, pausing one cycle before each distinct arming point to take a
-//! [`CoreSnapshot`], and each injection job is handed a cheap
-//! [`SnapshotChain::fork`] instead of a cold `Core::new`.
+//! This module simulates the prefix *once*: [`SnapshotChain::build_periodic`]
+//! drives a fault-free core to completion, taking a [`CoreSnapshot`]
+//! every `interval` cycles without knowing the arms in advance, and each
+//! injection job is handed a [`SnapshotChain::fork_catchup`] — the
+//! nearest earlier snapshot, caught up at most `interval - 1` fault-free
+//! cycles — instead of a cold `Core::new`. The detection campaign makes
+//! that one instrumented fault-free run do triple duty: cycle count,
+//! site-usage schedule, snapshots.
 //!
 //! **Why the fork is exact.** Every fault hook in the core is inert
 //! before the plan's arming cycle, so a faulted run's state at cycle
 //! `arm - 1` equals the fault-free state at `arm - 1` — which is exactly
-//! what the snapshot holds. `Core::run` compares against absolute cycle
-//! numbers, so the continuation simulates the same cycles the cold run
-//! would. The only difference is wall-clock telemetry
+//! what the caught-up snapshot holds. `Core::run` compares against
+//! absolute cycle numbers, so the continuation simulates the same cycles
+//! the cold run would. The only difference is wall-clock telemetry
 //! (`SimStats::wall_nanos`), which no report includes.
-//!
-//! The chain is *incremental*: snapshots are taken in ascending arm order
-//! from one continuously advancing core, so building `k` snapshots costs
-//! one fault-free prefix, not `k`.
-
-//! Two chain-building strategies exist. [`SnapshotChain::build`] pauses
-//! exactly one cycle before each known arming point (the *exact* chain:
-//! forks resume with zero catch-up). [`SnapshotChain::build_periodic`]
-//! snapshots every `interval` cycles in a single pass to completion
-//! without knowing the arms in advance — the early-exit campaign path
-//! uses it to make one instrumented reference run do triple duty (cycle
-//! count, site-usage schedule, snapshots); forks then catch up at most
-//! `interval - 1` fault-free cycles via [`SnapshotChain::fork_catchup`],
-//! which is exact for the same reason the fork itself is.
 
 use blackjack_faults::FaultPlan;
 use blackjack_sim::{Core, CoreSnapshot};
@@ -48,10 +38,10 @@ pub fn arming_schedule(fault_free_cycles: u64, sites: usize) -> Vec<u64> {
     (0..sites as u64).map(|i| (n / 2 + i * n / (2 * sites.max(1) as u64)).max(1)).collect()
 }
 
-/// Snapshots of one fault-free run, taken one cycle before each distinct
-/// arming point, ready to mint per-site injection cores.
+/// Periodic snapshots of one fault-free run, ready to mint per-site
+/// injection cores.
 pub struct SnapshotChain {
-    /// `(arm_cycle, snapshot at arm_cycle - 1)`, ascending by arm.
+    /// `(cycle, snapshot taken at that cycle)`, ascending by cycle.
     /// Boxed: `Core` is ~3 KB inline, and the periodic builder's sliding
     /// retention compacts this vector every snapshot — through a `Box`
     /// that's a 16-byte move per element instead of a deep memmove.
@@ -78,29 +68,6 @@ pub struct ChainStats {
 }
 
 impl SnapshotChain {
-    /// Builds the chain by driving `core` (which must be fault-free)
-    /// forward once, pausing at `arm - 1` for every distinct cycle in
-    /// `arms`. Duplicate and unsorted arms are fine — the chain stores
-    /// each distinct arm once, in ascending order.
-    ///
-    /// An arm past the run's completion still gets a snapshot (of the
-    /// completed state): forking it reproduces the cold run in which the
-    /// fault never fires.
-    pub fn build(mut core: Core, arms: &[u64]) -> SnapshotChain {
-        let mut distinct: Vec<u64> = arms.to_vec();
-        distinct.sort_unstable();
-        distinct.dedup();
-        let mut snaps = Vec::with_capacity(distinct.len());
-        for arm in distinct {
-            // Incremental: continues from the previous pause, never from
-            // cycle 0. `run` is a no-op once the core is done.
-            core.run(arm.saturating_sub(1));
-            snaps.push((arm, Box::new(core.snapshot())));
-        }
-        let stats = ChainStats { taken: snaps.len() as u64, peak_retained: snaps.len() as u64, ..ChainStats::default() };
-        SnapshotChain { snaps, stats }
-    }
-
     /// Builds a chain in one fault-free pass to *completion*, snapshotting
     /// every `interval` cycles, with no advance knowledge of the arming
     /// points — pair with [`SnapshotChain::fork_catchup`]. Returns the
@@ -212,27 +179,12 @@ impl SnapshotChain {
         (SnapshotChain { snaps, stats }, core)
     }
 
-    /// A core continuing from the snapshot for `arm` under `plan` — the
-    /// per-site injection fork. `plan` must be armed at `arm`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `arm` was not in the arms the chain was built with, or
-    /// if `plan.arm_cycle() != arm`.
-    pub fn fork(&self, arm: u64, plan: FaultPlan) -> Core {
-        assert_eq!(plan.arm_cycle(), arm, "plan must be armed at the requested snapshot");
-        let i = self
-            .snaps
-            .binary_search_by_key(&arm, |&(a, _)| a)
-            .unwrap_or_else(|_| panic!("no snapshot for arming cycle {arm}"));
-        self.snaps[i].1.fork(plan)
-    }
-
-    /// Like [`SnapshotChain::fork`], but tolerant of arms the chain never
-    /// paused at: restores the nearest snapshot at or before `arm - 1`,
-    /// catches up the remaining fault-free cycles, then installs `plan`.
-    /// Exact for the same reason the plain fork is — every caught-up
-    /// cycle precedes the arming point, where the hooks are inert.
+    /// A core continuing under `plan` from the fault-free state at
+    /// `arm - 1` — the per-site injection fork. Restores the nearest
+    /// snapshot at or before `arm - 1`, catches up the remaining
+    /// fault-free cycles, then installs `plan`. Exact because every
+    /// caught-up cycle precedes the arming point, where the hooks are
+    /// inert.
     ///
     /// # Panics
     ///
@@ -241,13 +193,11 @@ impl SnapshotChain {
     /// *scheduled* arm can need; an out-of-schedule arm can trip this).
     pub fn fork_catchup(&self, arm: u64, plan: FaultPlan) -> Core {
         assert_eq!(plan.arm_cycle(), arm, "plan must be armed at the requested fork point");
-        let target = arm.saturating_sub(1);
-        let i = self.snaps.partition_point(|(_, s)| s.cycle() <= target);
-        assert!(i > 0, "no snapshot at or before cycle {target} for arming cycle {arm}");
-        let mut core = self.snaps[i - 1].1.restore();
-        // The donor of an early-exit chain carries the reference pass's
-        // site-usage tracker; the fork doesn't need it (set_plan would
-        // drop it anyway) and catch-up shouldn't pay for the recording.
+        let (donor, target) = self.donor(arm);
+        let mut core = donor.restore();
+        // The donor carries the fault-free pass's site-usage tracker; the
+        // fork doesn't need it (set_plan would drop it anyway) and
+        // catch-up shouldn't pay for the recording.
         core.take_site_usage();
         core.run(target);
         core.set_plan(plan);
@@ -268,24 +218,20 @@ impl SnapshotChain {
     /// Panics under the same condition as `fork_catchup`: no snapshot at
     /// or before `arm - 1`.
     pub fn catchup_cycles(&self, arm: u64) -> u64 {
+        let (donor, target) = self.donor(arm);
+        target - donor.cycle()
+    }
+
+    /// The latest snapshot at or before `arm - 1`, and that target cycle.
+    fn donor(&self, arm: u64) -> (&CoreSnapshot, u64) {
         let target = arm.saturating_sub(1);
         let i = self.snaps.partition_point(|(_, s)| s.cycle() <= target);
         assert!(i > 0, "no snapshot at or before cycle {target} for arming cycle {arm}");
-        target - self.snaps[i - 1].1.cycle()
+        (&self.snaps[i - 1].1, target)
     }
 
-    /// Number of distinct snapshots held.
-    pub fn len(&self) -> usize {
-        self.snaps.len()
-    }
-
-    /// True if the chain holds no snapshots.
-    pub fn is_empty(&self) -> bool {
-        self.snaps.is_empty()
-    }
-
-    /// The distinct arming cycles, ascending.
-    pub fn arms(&self) -> Vec<u64> {
+    /// The cycles the held snapshots were taken at, ascending.
+    pub fn cycles(&self) -> Vec<u64> {
         self.snaps.iter().map(|&(a, _)| a).collect()
     }
 }
@@ -312,38 +258,6 @@ mod tests {
     }
 
     #[test]
-    fn chain_dedups_and_forks_exactly() {
-        let prog = build(Benchmark::Gzip, 1);
-        let cfg = CoreConfig::with_mode(Mode::Srt);
-
-        // Fault-free length for a meaningful schedule.
-        let mut probe = Core::new(cfg.clone(), &prog, FaultPlan::new());
-        assert!(probe.run(10_000_000).completed());
-        let n = probe.cycle();
-
-        let arms = vec![n / 2, n / 2, n * 3 / 4];
-        let chain = SnapshotChain::build(Core::new(cfg.clone(), &prog, FaultPlan::new()), &arms);
-        assert_eq!(chain.len(), 2, "duplicate arms collapse");
-        assert_eq!(chain.arms(), vec![n / 2, n * 3 / 4]);
-
-        let fault = HardFault::stuck_bit(FaultSite::Backend { way: 0 }, 3);
-        for &arm in &[n / 2, n * 3 / 4] {
-            let plan = FaultPlan::single(fault).arm_at(arm);
-            let mut forked = chain.fork(arm, plan.clone());
-            let forked_out = forked.run(10_000_000);
-            let mut cold = Core::new(cfg.clone(), &prog, plan);
-            let cold_out = cold.run(10_000_000);
-            assert_eq!(forked_out, cold_out, "arm {arm}: outcome must match cold run");
-            assert_eq!(forked.cycle(), cold.cycle(), "arm {arm}: cycle count must match");
-            assert_eq!(
-                forked.mem().first_difference(cold.mem()),
-                None,
-                "arm {arm}: memory must match"
-            );
-        }
-    }
-
-    #[test]
     fn periodic_chain_forks_exactly_from_any_arm() {
         let prog = build(Benchmark::Gzip, 1);
         let cfg = CoreConfig::with_mode(Mode::Srt);
@@ -356,10 +270,10 @@ mod tests {
         );
         assert!(reference.finished(), "reference pass runs to completion");
         let n = reference.cycle();
-        assert!(!chain.is_empty());
+        assert!(!chain.cycles().is_empty());
         // Sliding retention: nothing older than the final horizon
         // survives, so memory does not scale with the full run length.
-        for &c in &chain.arms() {
+        for &c in &chain.cycles() {
             assert!(c + 1024 >= n / 2 || c + 2048 >= n / 2, "snapshot at {c} is behind the horizon");
         }
 
@@ -406,7 +320,7 @@ mod tests {
             10_000_000,
             None,
         );
-        assert_eq!(chain.arms(), plain.arms(), "hint must not change the finished chain");
+        assert_eq!(chain.cycles(), plain.cycles(), "hint must not change the finished chain");
 
         // Every schedulable arm still forks exactly.
         let fault = HardFault::stuck_bit(FaultSite::Backend { way: 0 }, 3);
@@ -430,35 +344,14 @@ mod tests {
     }
 
     #[test]
-    fn catchup_fork_works_on_exact_chains_too() {
-        // The exact chain stores (arm, snapshot at arm-1); fork_catchup
-        // must find the donor by snapshot cycle and replay the one
-        // missing cycle.
-        let prog = build(Benchmark::Gzip, 1);
-        let cfg = CoreConfig::with_mode(Mode::Srt);
-        let mut probe = Core::new(cfg.clone(), &prog, FaultPlan::new());
-        assert!(probe.run(10_000_000).completed());
-        let n = probe.cycle();
-
-        let chain = SnapshotChain::build(Core::new(cfg.clone(), &prog, FaultPlan::new()), &[n / 2]);
-        let fault = HardFault::stuck_bit(FaultSite::Backend { way: 0 }, 3);
-        let plan = FaultPlan::single(fault).arm_at(n / 2);
-        let mut a = chain.fork(n / 2, plan.clone());
-        let mut b = chain.fork_catchup(n / 2, plan);
-        assert_eq!(a.run(10_000_000), b.run(10_000_000));
-        assert_eq!(a.cycle(), b.cycle());
-        assert_eq!(a.mem().first_difference(b.mem()), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "no snapshot for arming cycle")]
+    #[should_panic(expected = "no snapshot at or before cycle 0")]
     fn fork_of_unknown_arm_panics() {
+        // The sliding horizon has retired the cycle-0 snapshot by the end
+        // of the pass, so an arm at cycle 1 has no donor.
         let prog = build(Benchmark::Gzip, 1);
-        let chain = SnapshotChain::build(
-            Core::new(CoreConfig::with_mode(Mode::Single), &prog, FaultPlan::new()),
-            &[100],
-        );
+        let core = Core::new(CoreConfig::with_mode(Mode::Single), &prog, FaultPlan::new());
+        let (chain, _) = SnapshotChain::build_periodic(core, 1024, 10_000_000, None);
         let fault = HardFault::stuck_bit(FaultSite::Backend { way: 0 }, 3);
-        chain.fork(200, FaultPlan::single(fault).arm_at(200));
+        chain.fork_catchup(1, FaultPlan::single(fault).arm_at(1));
     }
 }

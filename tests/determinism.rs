@@ -26,18 +26,3 @@ fn experiment_tables_identical_across_worker_counts() {
     let parallel = tables(&exp.run_all_on(&Campaign::with_workers(8)));
     assert_eq!(serial, parallel, "worker count changed the evaluation's output");
 }
-
-#[test]
-fn experiment_tables_identical_across_snapshot_paths() {
-    // The snapshot-fork machinery (`BJ_SNAPSHOT`) must be invisible in
-    // every report: tables from forked cores match direct cores. One
-    // cross-pair (direct @ 1 worker vs forked @ 8) suffices — combined
-    // with the worker-count test above (which runs the default, forked,
-    // path at 1 and 8 workers), every (path, workers) combination is
-    // pinned by transitivity.
-    let direct =
-        tables(&Experiment::new().with_snapshot(false).run_all_on(&Campaign::with_workers(1)));
-    let forked =
-        tables(&Experiment::new().with_snapshot(true).run_all_on(&Campaign::with_workers(8)));
-    assert_eq!(forked, direct, "snapshot path changed the evaluation's output");
-}
