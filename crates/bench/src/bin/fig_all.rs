@@ -151,7 +151,8 @@ fn experiments_md(r: &blackjack::ExperimentResult) -> String {
          every per-cycle worklist plus a fixed-capacity packet-total table in\n\
          place of a per-cycle `HashMap` \u{2014} raised median core throughput from\n\
          601,409 to 751,339 cycles/sec on the same host and benchmark mix\n\
-         (+25%, 9-run medians before/after).\n\n\
+         (+25%, 9-run medians before/after). The table has since gone too:\n\
+         packet completeness is read off the trailing fetch queue's head.\n\n\
          The campaign engine fans simulations out over `BJ_THREADS` workers\n\
          and reassembles results in job order:\n\n\
          | workers | output | wall-clock |\n|---|---|---|\n\

@@ -498,17 +498,7 @@ pub struct ObserveCtl<'a> {
 /// Compact job label for the telemetry stream: `mode/bench/site`, in
 /// the same site spellings the corpus format and `bjsim --fault` use.
 pub fn site_label(mode: Mode, bench: &str, site: FaultSite) -> String {
-    let s = match site {
-        FaultSite::Backend { way } => format!("backend:{way}"),
-        FaultSite::Frontend { way } => format!("frontend:{way}"),
-        FaultSite::PayloadRam { entry } => format!("payload:{entry}"),
-        FaultSite::CacheData { index } => format!("cachedata:{index}"),
-        FaultSite::CacheTag { index } => format!("cachetag:{index}"),
-        FaultSite::StoreBuffer { entry } => format!("sbuf:{entry}"),
-        FaultSite::DtqPayload { entry } => format!("dtq:{entry}"),
-        FaultSite::LvqPayload { entry } => format!("lvq:{entry}"),
-    };
-    format!("{mode}/{bench}/{s}")
+    format!("{mode}/{bench}/{}:{}", site.family(), site.index())
 }
 
 /// Runs the whole detection campaign: one setup per (mode, benchmark)

@@ -78,13 +78,6 @@ impl CoverageAccum {
         self.back_diverse += back_diverse as u64;
     }
 
-    /// Merges another accumulator into this one.
-    pub fn merge(&mut self, other: &CoverageAccum) {
-        self.pairs += other.pairs;
-        self.front_diverse += other.front_diverse;
-        self.back_diverse += other.back_diverse;
-    }
-
     /// Fraction of pairs with frontend diversity, `[0, 1]`.
     pub fn frontend_coverage(&self) -> f64 {
         self.frac(self.front_diverse)
@@ -162,17 +155,6 @@ mod tests {
         }
         let total = c.total_coverage(&AreaModel::default());
         assert!((total - 0.3432).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_combines() {
-        let mut a = CoverageAccum::new();
-        a.record_pair(true, true);
-        let mut b = CoverageAccum::new();
-        b.record_pair(false, false);
-        a.merge(&b);
-        assert_eq!(a.pairs, 2);
-        assert_eq!(a.frontend_coverage(), 0.5);
     }
 
     #[test]

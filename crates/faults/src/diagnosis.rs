@@ -82,11 +82,6 @@ impl DiagnosisTable {
     pub fn backend_counts(&self) -> &[u64] {
         &self.backend
     }
-
-    /// Suspicion counts per frontend way.
-    pub fn frontend_counts(&self) -> &[u64] {
-        &self.frontend
-    }
 }
 
 fn unique_max(counts: &[u64]) -> Option<usize> {

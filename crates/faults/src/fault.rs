@@ -77,6 +77,78 @@ pub enum FaultSite {
     },
 }
 
+impl FaultSite {
+    /// The site's family token in the `SITE:WAY[:BIT]` spelling that
+    /// `bjsim --fault`, `.bjcase` files and campaign job labels share
+    /// (the inverse of [`parse_fault`]'s `SITE`).
+    pub fn family(self) -> &'static str {
+        match self {
+            FaultSite::Frontend { .. } => "frontend",
+            FaultSite::Backend { .. } => "backend",
+            FaultSite::PayloadRam { .. } => "payload",
+            FaultSite::CacheData { .. } => "cachedata",
+            FaultSite::CacheTag { .. } => "cachetag",
+            FaultSite::StoreBuffer { .. } => "sbuf",
+            FaultSite::DtqPayload { .. } => "dtq",
+            FaultSite::LvqPayload { .. } => "lvq",
+        }
+    }
+
+    /// The way, entry or set the site names within its structure.
+    pub fn index(self) -> usize {
+        match self {
+            FaultSite::Frontend { way } | FaultSite::Backend { way } => way,
+            FaultSite::PayloadRam { entry }
+            | FaultSite::StoreBuffer { entry }
+            | FaultSite::DtqPayload { entry }
+            | FaultSite::LvqPayload { entry } => entry,
+            FaultSite::CacheData { index } | FaultSite::CacheTag { index } => index,
+        }
+    }
+}
+
+/// Parses `SITE:WAY[:BIT]` into a stuck-at-1 fault on bit `BIT` (default
+/// 0). `SITE` is a [`FaultSite::family`] token; `WAY` is the way, entry
+/// or set index. Whether that index exists depends on the machine, so
+/// range-checking it is the caller's job.
+///
+/// # Errors
+///
+/// Names what is wrong: the shape, an unknown family, a non-numeric
+/// field, or `BIT` outside `0..64`.
+pub fn parse_fault(spec: &str) -> Result<HardFault, String> {
+    let parts: Vec<&str> = spec.split(':').collect();
+    if parts.len() < 2 || parts.len() > 3 {
+        return Err(format!("bad fault spec `{spec}` (want SITE:WAY[:BIT])"));
+    }
+    let i: usize =
+        parts[1].parse().map_err(|_| format!("bad way `{}` in fault spec `{spec}`", parts[1]))?;
+    let bit: u8 = match parts.get(2) {
+        None => 0,
+        Some(b) => b.parse().map_err(|_| format!("bad bit `{b}` in fault spec `{spec}`"))?,
+    };
+    if bit >= 64 {
+        return Err(format!("bit {bit} out of range in fault spec `{spec}` (want 0..64)"));
+    }
+    let site = match parts[0] {
+        "frontend" => FaultSite::Frontend { way: i },
+        "backend" => FaultSite::Backend { way: i },
+        "payload" => FaultSite::PayloadRam { entry: i },
+        "cachedata" => FaultSite::CacheData { index: i },
+        "cachetag" => FaultSite::CacheTag { index: i },
+        "sbuf" => FaultSite::StoreBuffer { entry: i },
+        "dtq" => FaultSite::DtqPayload { entry: i },
+        "lvq" => FaultSite::LvqPayload { entry: i },
+        other => {
+            return Err(format!(
+                "unknown fault site `{other}` (want frontend, backend, payload, \
+                 cachedata, cachetag, sbuf, dtq or lvq)"
+            ))
+        }
+    };
+    Ok(HardFault::stuck_bit(site, bit))
+}
+
 impl fmt::Display for FaultSite {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -492,6 +564,48 @@ impl FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fault_specs_round_trip_every_family() {
+        for site in [
+            FaultSite::Frontend { way: 3 },
+            FaultSite::Backend { way: 3 },
+            FaultSite::PayloadRam { entry: 3 },
+            FaultSite::CacheData { index: 3 },
+            FaultSite::CacheTag { index: 3 },
+            FaultSite::StoreBuffer { entry: 3 },
+            FaultSite::DtqPayload { entry: 3 },
+            FaultSite::LvqPayload { entry: 3 },
+        ] {
+            let spec = format!("{}:{}:63", site.family(), site.index());
+            assert_eq!(parse_fault(&spec), Ok(HardFault::stuck_bit(site, 63)), "{spec}");
+        }
+        assert_eq!(
+            parse_fault("backend:4"),
+            Ok(HardFault::stuck_bit(FaultSite::Backend { way: 4 }, 0))
+        );
+    }
+
+    #[test]
+    fn fault_specs_reject_malformed_and_out_of_range_bits() {
+        for bad in [
+            "backend",
+            "backend:4:2:1",
+            "backend:x",
+            "backend:-1",
+            "backend:4:x",
+            "backend:4:-1",
+            "backend:4:64",
+            "backend:4:200",
+            "backend:4:256",
+            "alu:4",
+            "",
+        ] {
+            assert!(parse_fault(bad).is_err(), "`{bad}` must be rejected");
+        }
+        assert!(parse_fault("backend:4:200").unwrap_err().contains("out of range"));
+        assert!(parse_fault("alu:4").unwrap_err().contains("lvq"));
+    }
 
     #[test]
     fn stuck_at_semantics() {

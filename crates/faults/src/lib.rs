@@ -36,4 +36,4 @@ pub use coverage::{AreaModel, CoverageAccum};
 pub use detection::{DetectionOutcome, DetectionTally, Taxonomy, TaxonomyTally};
 pub use diagnosis::DiagnosisTable;
 pub use ecc::EccOutcome;
-pub use fault::{Corruption, FaultKind, FaultPlan, FaultSite, HardFault, Trigger};
+pub use fault::{parse_fault, Corruption, FaultKind, FaultPlan, FaultSite, HardFault, Trigger};

@@ -20,9 +20,10 @@
 //! end
 //! ```
 //!
-//! `entry` is implied (`text_base`); `fault` is `SITE:WAY[:BIT]` in the
-//! same spelling `bjsim --fault` accepts (`frontend`, `backend`,
-//! `payload`, `cachedata`, `cachetag`, `sbuf`, `dtq`, `lvq`). Three
+//! `entry` is implied (`text_base`); `fault` is `SITE:WAY[:BIT]`, read by
+//! the same parser as `bjsim --fault` ([`parse_fault`]: `frontend`,
+//! `backend`, `payload`, `cachedata`, `cachetag`, `sbuf`, `dtq`, `lvq`;
+//! `BIT` in `0..64`). Three
 //! optional headers extend a fault across the temporal and ECC
 //! dimensions, each omitted when at its default so pre-existing cases
 //! stay byte-identical:
@@ -40,7 +41,7 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
-use blackjack_faults::{FaultKind, FaultPlan, FaultSite, HardFault, Taxonomy};
+use blackjack_faults::{parse_fault, FaultKind, FaultPlan, HardFault, Taxonomy};
 use blackjack_isa::{Program, ProgramBuilder};
 
 /// Why a case is in the corpus.
@@ -133,22 +134,12 @@ impl Case {
         let _ = writeln!(out, "text_base {:#x}", self.program.text_base());
         let _ = writeln!(out, "data_base {:#x}", self.program.data_base());
         if let Some(f) = self.fault {
-            let (site, way) = match f.site {
-                FaultSite::Frontend { way } => ("frontend", way),
-                FaultSite::Backend { way } => ("backend", way),
-                FaultSite::PayloadRam { entry } => ("payload", entry),
-                FaultSite::CacheData { index } => ("cachedata", index),
-                FaultSite::CacheTag { index } => ("cachetag", index),
-                FaultSite::StoreBuffer { entry } => ("sbuf", entry),
-                FaultSite::DtqPayload { entry } => ("dtq", entry),
-                FaultSite::LvqPayload { entry } => ("lvq", entry),
-            };
             let bit = match f.corruption {
                 blackjack_faults::Corruption::StuckAt { bit, .. } => bit,
                 blackjack_faults::Corruption::FlipBit { bit } => bit,
                 blackjack_faults::Corruption::XorMask { .. } => 0,
             };
-            let _ = writeln!(out, "fault {site}:{way}:{bit}");
+            let _ = writeln!(out, "fault {}:{}:{bit}", f.site.family(), f.site.index());
         }
         // The fault-dimension headers are omitted at their defaults so
         // cases minted before these dimensions existed re-serialize
@@ -246,8 +237,8 @@ impl Case {
                             None => return err("bad data_base"),
                         },
                         "fault" => match parse_fault(rest.trim()) {
-                            Some(f) => fault = Some(f),
-                            None => return err("bad fault spec"),
+                            Ok(f) => fault = Some(f),
+                            Err(e) => return err(&e),
                         },
                         "temporal" => match parse_temporal(rest.trim()) {
                             Some((k, a)) => {
@@ -343,28 +334,6 @@ fn parse_u64(s: &str) -> Option<u64> {
     }
 }
 
-/// Parses `SITE:WAY[:BIT]`, the `bjsim --fault` spelling.
-fn parse_fault(s: &str) -> Option<HardFault> {
-    let parts: Vec<&str> = s.split(':').collect();
-    if parts.len() < 2 || parts.len() > 3 {
-        return None;
-    }
-    let way: usize = parts[1].parse().ok()?;
-    let bit: u8 = parts.get(2).map_or(Some(0), |b| b.parse().ok())?;
-    let site = match parts[0] {
-        "frontend" => FaultSite::Frontend { way },
-        "backend" => FaultSite::Backend { way },
-        "payload" => FaultSite::PayloadRam { entry: way },
-        "cachedata" => FaultSite::CacheData { index: way },
-        "cachetag" => FaultSite::CacheTag { index: way },
-        "sbuf" => FaultSite::StoreBuffer { entry: way },
-        "dtq" => FaultSite::DtqPayload { entry: way },
-        "lvq" => FaultSite::LvqPayload { entry: way },
-        _ => return None,
-    };
-    Some(HardFault::stuck_bit(site, bit))
-}
-
 /// Parses `KIND:ARM[:PERIOD:ON]` — `hard:200`, `transient:450`,
 /// `intermittent:300:64:8`.
 fn parse_temporal(s: &str) -> Option<(FaultKind, u64)> {
@@ -397,6 +366,7 @@ fn parse_taxonomy(s: &str) -> Option<Taxonomy> {
 mod tests {
     use super::*;
     use crate::gen::{generate, GenConfig};
+    use blackjack_faults::FaultSite;
 
     #[test]
     fn round_trips_a_generated_program() {
@@ -516,6 +486,8 @@ mod tests {
             "expect corrected\ntext\n00000013",
             "fault lvq\ntext\n00000013",
             "fault tlb:0:1\ntext\n00000013",
+            "fault backend:4:64\ntext\n00000013",
+            "fault backend:4:200\ntext\n00000013",
             // Signed and non-ASCII hex must be rejected, not parsed or
             // sliced mid-character.
             "text\n+7000000",

@@ -1,23 +1,22 @@
 //! Lockstep differential driver: the OOO core versus the golden
 //! interpreter, in every redundancy mode.
 //!
-//! The comparison surface is deliberately wider than the hand-written
-//! differential tests': besides final register-file and memory
-//! equivalence, the core's *commit log* is replayed against the
-//! interpreter instruction by instruction — PC, next PC, destination
-//! value, load address/value, and store address/size/data must all
-//! agree at every committed instruction, in program order. A divergence
-//! therefore names the exact sequence number where the pipeline first
-//! went wrong, which is what makes minimized cases actionable.
+//! Besides final register-file and memory equivalence, the core's
+//! *commit log* is replayed against the interpreter instruction by
+//! instruction ([`blackjack_sim::replay_against_interp`]) — PC, next PC,
+//! destination value, load address, and store address/size/data must
+//! all agree at every committed instruction, in program order. A
+//! divergence therefore names the exact sequence number where the
+//! pipeline first went wrong, which is what makes minimized cases
+//! actionable.
 //!
 //! Every failure path returns a [`DiffFailure`] instead of panicking, so
 //! the driver doubles as the minimizer's oracle: delta-debugged mutants
 //! that hang or diverge *differently* are classified, not crashed on.
 
 use blackjack_faults::FaultPlan;
-use blackjack_isa::exec::effective_addr;
-use blackjack_isa::{decode, Inst, Interp, Program};
-use blackjack_sim::{Core, CoreConfig, MemEffect, Mode};
+use blackjack_isa::{Interp, Program};
+use blackjack_sim::{replay_against_interp, Core, CoreConfig, Mode};
 
 /// Interpreter step budget per run.
 pub const MAX_STEPS: u64 = 1_000_000;
@@ -172,81 +171,6 @@ pub fn check_fault_free(prog: &Program) -> Result<DiffStats, DiffFailure> {
         stats.cycles += s.cycles;
     }
     Ok(stats)
-}
-
-/// Replays a commit log against a fresh interpreter, checking PC, next
-/// PC, destination writes, and memory effects at every sequence number.
-fn replay_against_interp(
-    prog: &Program,
-    log: &[blackjack_sim::CommitRecord],
-) -> Result<(), String> {
-    let mut it = Interp::new(prog);
-    for (i, rec) in log.iter().enumerate() {
-        if rec.seq != i as u64 {
-            return Err(format!("sequence gap: record {i} has seq {}", rec.seq));
-        }
-        if rec.pc != it.pc() {
-            return Err(format!("seq {i}: committed pc {:#x}, golden pc {:#x}", rec.pc, it.pc()));
-        }
-        // Load addresses are recomputed from the interpreter's pre-step
-        // register state — the text segment is never written, so the
-        // static image is authoritative for the instruction itself.
-        let expect_load_addr = prog
-            .fetch(rec.pc)
-            .and_then(|w| decode(w).ok())
-            .and_then(|inst| match inst {
-                Inst::Load { rs1, .. } | Inst::FLoad { rs1, .. } => {
-                    Some(effective_addr(&inst, it.reg(rs1.index() as usize)))
-                }
-                _ => None,
-            });
-        if it.step().is_err() {
-            return Err(format!("seq {i}: golden faulted at pc {:#x}", rec.pc));
-        }
-        if rec.next_pc != it.pc() {
-            return Err(format!(
-                "seq {i}: committed next_pc {:#x}, golden {:#x}",
-                rec.next_pc,
-                it.pc()
-            ));
-        }
-        if let Some((log_reg, v)) = rec.dst {
-            let idx = log_reg.index() as usize;
-            let want = if log_reg.is_fp() { it.freg_bits(idx - 32) } else { it.reg(idx) };
-            if v != want {
-                return Err(format!(
-                    "seq {i}: dst {log_reg:?} committed {v:#x}, golden {want:#x}"
-                ));
-            }
-        }
-        match rec.mem {
-            Some(MemEffect::Store { addr, bytes, data }) => {
-                let got = it.mem().read_sized(addr, bytes);
-                if data != got {
-                    return Err(format!(
-                        "seq {i}: store {bytes}B @ {addr:#x} committed {data:#x}, golden {got:#x}"
-                    ));
-                }
-            }
-            Some(MemEffect::Load { addr, .. }) => {
-                if let Some(want) = expect_load_addr {
-                    if addr != want {
-                        return Err(format!(
-                            "seq {i}: load address {addr:#x}, golden {want:#x}"
-                        ));
-                    }
-                }
-            }
-            None => {}
-        }
-    }
-    if !it.halted() {
-        return Err(format!(
-            "log ends after {} records but the golden run has not halted",
-            log.len()
-        ));
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -233,11 +233,6 @@ impl Interp {
         &self.mem
     }
 
-    /// Mutable access to the memory image (for test setup).
-    pub fn mem_mut(&mut self) -> &mut PagedMem {
-        &mut self.mem
-    }
-
     /// All integer registers.
     pub fn int_regs(&self) -> &[u64; NUM_INT_REGS] {
         &self.xregs

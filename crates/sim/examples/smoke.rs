@@ -1,10 +1,11 @@
 //! Full-matrix smoke run: every benchmark through every mode, with
-//! interpreter memory equivalence checked — a quick health sweep of the
-//! whole simulator (`cargo run --release -p blackjack-sim --example smoke`).
+//! interpreter memory equivalence and the commit log checked — a quick
+//! health sweep of the whole simulator
+//! (`cargo run --release -p blackjack-sim --example smoke`).
 
 use blackjack_faults::{AreaModel, FaultPlan};
 use blackjack_isa::Interp;
-use blackjack_sim::{Core, CoreConfig, Mode};
+use blackjack_sim::{replay_against_interp, Core, CoreConfig, Mode};
 use blackjack_workloads::{build, Benchmark};
 
 fn main() {
@@ -17,9 +18,11 @@ fn main() {
         let mut single_cycles = 0.0;
         for mode in Mode::ALL {
             let mut core = Core::new(CoreConfig::with_mode(mode), &prog, FaultPlan::new());
-            if mode == Mode::Single { core.enable_oracle(&prog); }
+            core.enable_commit_log();
             let out = core.run(50_000_000);
             assert!(out.completed(), "{b} {mode}: {out:?}");
+            let log = core.take_commit_log().expect("commit log was enabled");
+            replay_against_interp(&prog, &log).unwrap_or_else(|e| panic!("{b} {mode}: {e}"));
             assert_eq!(core.mem().first_difference(it.mem()), None, "{b} {mode} memory mismatch");
             let s = core.stats();
             if mode == Mode::Single { single_cycles = s.cycles as f64; }

@@ -1,5 +1,6 @@
 //! Core configuration (Table 1 of the paper) and redundancy modes.
 
+use blackjack_faults::FaultSite;
 use blackjack_isa::FuType;
 use blackjack_mem::MemConfig;
 
@@ -294,6 +295,22 @@ impl CoreConfig {
     /// The default configuration in the given mode.
     pub fn with_mode(mode: Mode) -> CoreConfig {
         CoreConfig { mode, ..CoreConfig::default() }
+    }
+
+    /// How many instances of `site`'s family this machine has: ways for
+    /// the frontend and backend, entries for the queues and payload RAMs,
+    /// sets for the L1D arrays. `site` exists in the machine when its
+    /// [`FaultSite::index`] is below this.
+    pub fn site_extent(&self, site: FaultSite) -> usize {
+        match site {
+            FaultSite::Frontend { .. } => self.width,
+            FaultSite::Backend { .. } => self.fu_counts.total(),
+            FaultSite::PayloadRam { .. } => self.issue_queue,
+            FaultSite::CacheData { .. } | FaultSite::CacheTag { .. } => self.mem.l1d.num_sets(),
+            FaultSite::StoreBuffer { .. } => self.store_buffer,
+            FaultSite::DtqPayload { .. } => self.dtq,
+            FaultSite::LvqPayload { .. } => self.lvq,
+        }
     }
 
     /// Validates structural invariants.

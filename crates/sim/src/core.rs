@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use blackjack_faults::{FaultPlan, FaultSite};
 use blackjack_isa::exec::{effective_addr, exec_nonmem, finish_load, store_data};
-use blackjack_isa::{decode, initial_int_regs, FuType, Inst, Interp, LogReg, PagedMem, Program};
+use blackjack_isa::{decode, initial_int_regs, FuType, Inst, LogReg, PagedMem, Program};
 use blackjack_mem::{MemSystem, StoreBuffer, StoreCheck, StoreRecord};
 
 use crate::config::{CoreConfig, Mode, ShuffleAlgo};
@@ -163,30 +163,18 @@ impl Clone for SiteUsage {
     }
 }
 
-/// Structure sizes for [`SiteUsage::with_sizes`], one per fault-site
-/// family.
-struct SiteSizes {
-    frontend: usize,
-    backend: usize,
-    payload: usize,
-    cache_sets: usize,
-    store_buffer: usize,
-    dtq: usize,
-    lvq: usize,
-}
-
 impl SiteUsage {
-    fn with_sizes(s: SiteSizes) -> SiteUsage {
-        let cells = |n: usize| (0..n).map(|_| AtomicU64::new(0)).collect();
+    fn for_config(cfg: &CoreConfig) -> SiteUsage {
+        let cells = |site| (0..cfg.site_extent(site)).map(|_| AtomicU64::new(0)).collect();
         SiteUsage {
-            frontend: cells(s.frontend),
-            backend: cells(s.backend),
-            payload: cells(s.payload),
-            cache_data: cells(s.cache_sets),
-            cache_tag: cells(s.cache_sets),
-            store_buffer: cells(s.store_buffer),
-            dtq: cells(s.dtq),
-            lvq: cells(s.lvq),
+            frontend: cells(FaultSite::Frontend { way: 0 }),
+            backend: cells(FaultSite::Backend { way: 0 }),
+            payload: cells(FaultSite::PayloadRam { entry: 0 }),
+            cache_data: cells(FaultSite::CacheData { index: 0 }),
+            cache_tag: cells(FaultSite::CacheTag { index: 0 }),
+            store_buffer: cells(FaultSite::StoreBuffer { entry: 0 }),
+            dtq: cells(FaultSite::DtqPayload { entry: 0 }),
+            lvq: cells(FaultSite::LvqPayload { entry: 0 }),
         }
     }
 
@@ -258,74 +246,6 @@ struct StepScratch {
     breaks: Vec<bool>,
     /// Same-group destination registers (packet-splitting dependence check).
     dsts: Vec<crate::uop::PhysReg>,
-}
-
-/// Fixed-capacity map from in-flight trailing packet id to its occupied
-/// slot count, for atomic packet issue.
-///
-/// Every live packet keeps at least one member in the trailing fetch
-/// queue or the issue queue until the whole packet issues (the trailing
-/// thread never squashes), so live entries never exceed
-/// `fetch_queue + issue_queue` and a pre-reserved array with linear scan
-/// replaces a `HashMap` without ever allocating after construction.
-struct PacketTotals {
-    entries: Vec<(u64, usize)>,
-    fetch_queue: usize,
-    issue_queue: usize,
-}
-
-/// Hand-written so a snapshot restore keeps the full pre-reserved
-/// capacity (`Vec::clone` only reserves `len`, which would make the first
-/// post-restore cycles reallocate and void the zero-alloc guarantee).
-impl Clone for PacketTotals {
-    fn clone(&self) -> PacketTotals {
-        let mut entries = Vec::with_capacity(self.fetch_queue + self.issue_queue);
-        entries.extend_from_slice(&self.entries);
-        PacketTotals { entries, fetch_queue: self.fetch_queue, issue_queue: self.issue_queue }
-    }
-}
-
-impl PacketTotals {
-    fn new(fetch_queue: usize, issue_queue: usize) -> PacketTotals {
-        PacketTotals {
-            entries: Vec::with_capacity(fetch_queue + issue_queue),
-            fetch_queue,
-            issue_queue,
-        }
-    }
-
-    fn insert(&mut self, pid: u64, total: usize) {
-        debug_assert!(self.entries.iter().all(|&(p, _)| p != pid));
-        // Always-on invariant (not a debug_assert): a config that lets
-        // more packets live than `fetch_queue + issue_queue` would make
-        // the push below reallocate and silently void the zero-alloc
-        // hot-loop guarantee, so fail loudly naming the offending config.
-        assert!(
-            self.entries.len() < self.fetch_queue + self.issue_queue,
-            "live-packet bound exceeded: {} packets live, but the config \
-             (fetch_queue={}, issue_queue={}) bounds them to {} — \
-             trailing packets must keep a member in one of those queues",
-            self.entries.len() + 1,
-            self.fetch_queue,
-            self.issue_queue,
-            self.fetch_queue + self.issue_queue,
-        );
-        self.entries.push((pid, total));
-    }
-
-    fn get(&self, pid: u64) -> Option<usize> {
-        self.entries.iter().find(|&&(p, _)| p == pid).map(|&(_, t)| t)
-    }
-
-    fn remove(&mut self, pid: u64) {
-        if let Some(i) = self.entries.iter().position(|&(p, _)| p == pid) {
-            self.entries.swap_remove(i);
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
 }
 
 /// Per-context (per-SMT-thread) machine state.
@@ -403,9 +323,6 @@ pub struct Core {
     lead_packets: u64,
     trail_packets: u64,
 
-    /// Trailing packet id → number of occupied slots (instructions +
-    /// filler NOPs), for atomic packet issue.
-    trail_packet_total: PacketTotals,
     /// Reusable per-cycle scratch buffers (see [`StepScratch`]).
     scratch: StepScratch,
 
@@ -428,7 +345,6 @@ pub struct Core {
     last_activity_cycle: u64,
     /// Reference-pass site-usage tracker ([`Core::enable_site_usage`]).
     site_usage: Option<SiteUsage>,
-    oracle: Option<Interp>,
     /// Architectural commit trace ([`Core::enable_commit_log`]); `None`
     /// (the default) keeps the commit path a single branch.
     commit_log: Option<Vec<CommitRecord>>,
@@ -470,7 +386,6 @@ impl Clone for Core {
             done: self.done,
             lead_packets: self.lead_packets,
             trail_packets: self.trail_packets,
-            trail_packet_total: self.trail_packet_total.clone(),
             scratch: self.scratch.clone(),
             trail_expect_pc: self.trail_expect_pc,
             commit_rat: self.commit_rat.clone(),
@@ -481,7 +396,6 @@ impl Clone for Core {
             seen_activations: self.seen_activations,
             last_activity_cycle: self.last_activity_cycle,
             site_usage: self.site_usage.clone(),
-            oracle: self.oracle.clone(),
             commit_log: self.commit_log.clone(),
             tracer: self.tracer.clone(),
         }
@@ -515,7 +429,6 @@ impl Clone for Core {
             done,
             lead_packets,
             trail_packets,
-            trail_packet_total,
             scratch,
             trail_expect_pc,
             commit_rat,
@@ -526,7 +439,6 @@ impl Clone for Core {
             seen_activations,
             last_activity_cycle,
             site_usage,
-            oracle,
             commit_log,
             tracer,
         } = source;
@@ -556,7 +468,6 @@ impl Clone for Core {
         self.done = *done;
         self.lead_packets = *lead_packets;
         self.trail_packets = *trail_packets;
-        self.trail_packet_total.clone_from(trail_packet_total);
         self.scratch.clone_from(scratch);
         self.trail_expect_pc = *trail_expect_pc;
         self.commit_rat.clone_from(commit_rat);
@@ -567,7 +478,6 @@ impl Clone for Core {
         self.seen_activations = *seen_activations;
         self.last_activity_cycle = *last_activity_cycle;
         self.site_usage.clone_from(site_usage);
-        self.oracle.clone_from(oracle);
         self.commit_log.clone_from(commit_log);
         self.tracer.clone_from(tracer);
     }
@@ -610,7 +520,6 @@ impl Core {
             done: false,
             lead_packets: 0,
             trail_packets: 0,
-            trail_packet_total: PacketTotals::new(cfg.fetch_queue, cfg.issue_queue),
             scratch: StepScratch::default(),
             trail_expect_pc: prog.entry(),
             commit_rat: CommitRat::new(),
@@ -621,7 +530,6 @@ impl Core {
             seen_activations: 0,
             last_activity_cycle: 0,
             site_usage: None,
-            oracle: None,
             commit_log: None,
             tracer: Tracer::Off,
             cfg,
@@ -713,15 +621,7 @@ impl Core {
     /// Turns on per-site last-exercise tracking (the reference pass of an
     /// early-exit campaign). Off by default: one branch per fault hook.
     pub fn enable_site_usage(&mut self) {
-        self.site_usage = Some(SiteUsage::with_sizes(SiteSizes {
-            frontend: self.cfg.width,
-            backend: self.cfg.fu_counts.total(),
-            payload: self.cfg.issue_queue,
-            cache_sets: self.cfg.mem.l1d.num_sets(),
-            store_buffer: self.cfg.store_buffer,
-            dtq: self.cfg.dtq,
-            lvq: self.cfg.lvq,
-        }));
+        self.site_usage = Some(SiteUsage::for_config(&self.cfg));
     }
 
     /// The site-usage tracker, if enabled.
@@ -734,13 +634,6 @@ impl Core {
         self.site_usage.take()
     }
 
-    /// Attaches a lock-step golden-interpreter oracle that cross-checks
-    /// every leading commit (fault-free runs only; used by tests).
-    pub fn enable_oracle(&mut self, prog: &Program) {
-        assert!(self.plan.is_empty(), "the oracle is only meaningful without faults");
-        self.oracle = Some(Interp::new(prog));
-    }
-
     /// The configuration.
     pub fn config(&self) -> &CoreConfig {
         &self.cfg
@@ -751,16 +644,10 @@ impl Core {
         &self.stats
     }
 
-    /// Mutable statistics access (to enable tracing flags in tests).
-    #[doc(hidden)]
-    pub fn stats_mut_for_test(&mut self) -> &mut SimStats {
-        &mut self.stats
-    }
-
     /// One-line description of machine occupancy, for stuck-state triage.
     pub fn debug_state(&self) -> String {
         let mut out = format!(
-            "cycle={} halted={:?} iq={} inflight={} sb={} lvq={} boq={} dtq={} fetchq_pkts={} live_pkts={}",
+            "cycle={} halted={:?} iq={} inflight={} sb={} lvq={} boq={} dtq={} fetchq_pkts={}",
             self.cycle,
             self.halted,
             self.iq.len(),
@@ -770,7 +657,6 @@ impl Core {
             self.boq.len(),
             self.dtq.len(),
             self.fetchq_packets.len(),
-            self.trail_packet_total.len(),
         );
         for (i, c) in self.ctxs.iter().enumerate() {
             out += &format!(
@@ -839,9 +725,6 @@ impl Core {
         self.done
     }
 
-    /// Runs until completion, detection, or `max_cycles`. Wall-clock time
-    /// spent here accumulates into [`SimStats::wall_nanos`] for
-    /// throughput accounting ([`SimStats::cycles_per_sec`]).
     /// Cycles simulated so far.
     pub fn cycle(&self) -> u64 {
         self.cycle
@@ -855,6 +738,8 @@ impl Core {
         CoreSnapshot { core: self.clone() }
     }
 
+    /// Runs until completion, detection, or `max_cycles`. Wall-clock time
+    /// spent here accumulates into [`SimStats::wall_nanos`].
     pub fn run(&mut self, max_cycles: u64) -> RunOutcome {
         let t0 = std::time::Instant::now();
         let mut watchdog_fired = false;
@@ -871,9 +756,7 @@ impl Core {
                 break;
             }
         }
-        let elapsed = t0.elapsed().as_nanos() as u64;
-        self.stats.wall_nanos += elapsed;
-        self.stats.agg_wall_nanos += elapsed;
+        self.stats.wall_nanos += t0.elapsed().as_nanos() as u64;
         let outcome = if watchdog_fired {
             RunOutcome::CycleLimit
         } else if let Some(e) = self.detection {
@@ -1118,12 +1001,6 @@ impl Core {
             }
         }
 
-        // Oracle cross-check (fault-free differential testing).
-        if self.oracle.is_some() {
-            self.check_oracle(id);
-        }
-
-        let u = self.slab.at(id);
         let (seq, pc, next_pc, taken) = (u.seq, u.pc, u.next_pc, u.taken);
         let inst = u.inst;
         let pristine = u.pristine;
@@ -1382,17 +1259,6 @@ impl Core {
         if let Some((lf, lb)) = lead_ways {
             self.stats.coverage.record_pair(front_way != lf, back_way != lb);
             self.stats.back_div_by_fu[inst.fu_type().index()][(back_way != lb) as usize] += 1;
-            if self.stats.trace_pairs {
-                let u = self.slab.at(id);
-                self.stats.pair_trace.push(crate::stats::PairTrace {
-                    seq,
-                    fu: inst.fu_type().index(),
-                    lead: (lf, lb),
-                    trail: (front_way, back_way),
-                    trail_issue: u.issue_cycle.unwrap_or(0),
-                    packet: u.packet.unwrap_or(u64::MAX),
-                });
-            }
         }
 
         self.trail_expect_pc = next_pc;
@@ -1404,29 +1270,6 @@ impl Core {
         self.slab.remove(id);
         self.stats.committed[TRAILING] += 1;
         true
-    }
-
-    fn check_oracle(&mut self, id: UopId) {
-        let u = self.slab.at(id);
-        let (pc, seq, dst, log_dst) = (u.pc, u.seq, u.dst, u.log_dst);
-        let oracle = self.oracle.as_mut().expect("oracle enabled");
-        assert_eq!(
-            pc,
-            oracle.pc(),
-            "pipeline committed pc {pc:#x} but the oracle is at {:#x} (seq {seq})",
-            oracle.pc()
-        );
-        oracle.step().expect("oracle executes committed instruction");
-        if let (Some(d), Some(log)) = (dst, log_dst) {
-            let got = self.ctxs[LEADING].regs.read(d);
-            let idx = log.index() as usize;
-            let want =
-                if log.is_fp() { oracle.freg_bits(idx - 32) } else { oracle.reg(idx) };
-            assert_eq!(
-                got, want,
-                "pipeline wrote {got:#x} to {log} at pc {pc:#x} (seq {seq}); oracle has {want:#x}"
-            );
-        }
     }
 
     // --------------------------------------------------------------- complete
@@ -1587,6 +1430,15 @@ impl Core {
             }
         }
         let atomic = self.cfg.trailing_packet_atomic && self.cfg.mode.uses_dtq();
+        // Trailing packets enter the fetch queue whole and leave it in
+        // order, so the only packet that can be part-dispatched is the
+        // one at the fetch queue's head: every other packet with members
+        // in the issue queue has all of them there.
+        let split_packet = if atomic {
+            self.ctxs[TRAILING].frontq.front().and_then(|&h| self.slab.at(h).packet)
+        } else {
+            None
+        };
         let mut handled_packets = std::mem::take(&mut self.scratch.handled_packets);
         handled_packets.clear();
         let mut members = std::mem::take(&mut self.scratch.members);
@@ -1615,8 +1467,7 @@ impl Core {
                     let c = self.slab.at(cid);
                     c.ctx == TRAILING && c.packet == Some(pid)
                 }));
-                let total = self.trail_packet_total.get(pid).unwrap_or(members.len());
-                if members.len() != total
+                if split_packet == Some(pid)
                     || budget < members.len()
                     || !members.iter().all(|&(mid, _)| self.operands_ready(mid))
                 {
@@ -1638,7 +1489,6 @@ impl Core {
                 for (&(mid, pe), &way) in members.iter().zip(&ways) {
                     self.do_issue(mid, way, pe, &mut issued, &mut budget);
                 }
-                self.trail_packet_total.remove(pid);
                 continue;
             }
 
@@ -1871,7 +1721,6 @@ impl Core {
             let u = self.slab.at_mut(id);
             u.back_way = Some(way);
             u.payload_slot = payload_entry;
-            u.issue_cycle = Some(self.cycle);
             u.stage = Stage::Executing;
         }
 
@@ -2526,14 +2375,6 @@ impl Core {
         let Some(packet) = self.fetchq_packets.pop_front() else { return };
         let packet_id = self.trail_packets;
         self.trail_packets += 1;
-        if self.cfg.trailing_packet_atomic {
-            let occupied = packet.iter().filter(|s| !matches!(s, Slot::Hole)).count();
-            // A memberless packet would never be removed at issue; skip it
-            // so the fixed-capacity table's live-entry bound holds.
-            if occupied > 0 {
-                self.trail_packet_total.insert(packet_id, occupied);
-            }
-        }
         for (slot, s) in packet.into_iter().enumerate() {
             match s {
                 Slot::Hole => {}
@@ -2658,52 +2499,17 @@ impl CoreSnapshot {
 
 #[cfg(test)]
 mod tests {
-    use super::PacketTotals;
     use crate::{Core, CoreConfig, Mode, RunOutcome};
     use blackjack_faults::FaultPlan;
     use blackjack_isa::asm::assemble;
-
-    #[test]
-    fn packet_totals_fills_to_exactly_the_bound() {
-        let mut pt = PacketTotals::new(4, 4);
-        for pid in 0..8u64 {
-            pt.insert(pid, 3);
-        }
-        assert_eq!(pt.len(), 8);
-        assert_eq!(pt.get(5), Some(3));
-        // Removing frees a slot for a new packet at the bound.
-        pt.remove(0);
-        pt.insert(8, 2);
-        assert_eq!(pt.len(), 8);
-    }
-
-    #[test]
-    fn packet_totals_overflow_names_the_config() {
-        let err = std::panic::catch_unwind(|| {
-            let mut pt = PacketTotals::new(2, 3);
-            for pid in 0..6u64 {
-                pt.insert(pid, 1);
-            }
-        })
-        .expect_err("the sixth insert must violate the bound");
-        let msg = err
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_default();
-        assert!(msg.contains("live-packet bound exceeded"), "{msg}");
-        assert!(msg.contains("fetch_queue=2"), "{msg}");
-        assert!(msg.contains("issue_queue=3"), "{msg}");
-    }
 
     #[test]
     fn boundary_queue_config_runs_blackjack() {
         // The tightest *workable* config for width 4: at
         // issue_queue == width a whole trailing packet can never hold
         // the shared issue queue alone (atomic packet issue livelocks),
-        // so width + 1 is the boundary. The live-packet bound is then
-        // fetch_queue + issue_queue = 9, the smallest that completes,
-        // which exercises the PacketTotals invariant hardest.
+        // so width + 1 is the boundary; a fetch queue of one width is
+        // the smallest that admits a whole packet.
         let mut cfg = CoreConfig::with_mode(Mode::BlackJack);
         cfg.fetch_queue = cfg.width;
         cfg.issue_queue = cfg.width + 1;

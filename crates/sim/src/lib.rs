@@ -38,6 +38,7 @@ mod iq;
 mod lsq;
 mod predictor;
 mod regfile;
+mod replay;
 mod rob;
 pub mod shuffle;
 mod srt;
@@ -56,8 +57,9 @@ pub use iq::IssueQueue;
 pub use lsq::{Forwarded, Lsq};
 pub use predictor::{Btb, Gshare, Ras};
 pub use regfile::{CommitRat, LeadIndexedRat, RegFile};
+pub use replay::replay_against_interp;
 pub use rob::ActiveList;
 pub use srt::{Boq, BoqEntry, Lvq, LvqEntry, WayLog, WayRecord};
-pub use stats::{ExitReason, PairTrace, SimStats};
+pub use stats::{ExitReason, SimStats};
 pub use trace::{FlightEvent, FlightKind, FlightRecorder, Histogram, TraceState, Tracer, WayHeat};
 pub use uop::{PhysReg, Stage, Uop, UopId, UopSlab};

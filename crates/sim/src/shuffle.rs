@@ -67,11 +67,6 @@ impl<T> Slot<T> {
     pub fn is_nop(&self) -> bool {
         matches!(self, Slot::Nop(_))
     }
-
-    /// True for holes.
-    pub fn is_hole(&self) -> bool {
-        matches!(self, Slot::Hole)
-    }
 }
 
 /// The result of shuffling one input packet.

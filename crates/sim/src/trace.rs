@@ -186,20 +186,6 @@ impl WayHeat {
     pub fn total(&self) -> u64 {
         self.counts.iter().map(|c| c.iter().sum::<u64>()).sum()
     }
-
-    /// Merges another heatmap over the same FU population.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the FU populations differ.
-    pub fn merge(&mut self, other: &WayHeat) {
-        assert_eq!(self.fu, other.fu, "cannot merge heatmaps over different FU populations");
-        for ctx in 0..2 {
-            for (a, b) in self.counts[ctx].iter_mut().zip(&other.counts[ctx]) {
-                *a += b;
-            }
-        }
-    }
 }
 
 /// What happened to a uop at one pipeline stage.
@@ -376,22 +362,6 @@ impl TraceState {
             heat: WayHeat::new(cfg.fu_counts),
             flight: FlightRecorder::new(flight_capacity),
         }
-    }
-
-    /// Merges another run's trace (histograms and heatmap pool; the flight
-    /// recorder keeps *this* run's events — pipetraces are per-incident,
-    /// not poolable).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two traces were sized for different configurations.
-    pub fn merge(&mut self, other: &TraceState) {
-        self.occ_iq.merge(&other.occ_iq);
-        self.occ_dtq.merge(&other.occ_dtq);
-        self.occ_lsq.merge(&other.occ_lsq);
-        self.occ_al.merge(&other.occ_al);
-        self.slack.merge(&other.slack);
-        self.heat.merge(&other.heat);
     }
 
     /// One-line JSON object with every occupancy histogram:
@@ -623,20 +593,16 @@ mod tests {
     }
 
     #[test]
-    fn heatmap_records_and_merges() {
-        let fu = FuCounts::default();
-        let mut a = WayHeat::new(fu);
+    fn heatmap_records_per_context() {
+        let mut a = WayHeat::new(FuCounts::default());
         a.record(0, 0);
         a.record(0, 0);
         a.record(1, 1);
-        let mut b = WayHeat::new(fu);
-        b.record(0, 0);
-        b.record(1, 15);
-        a.merge(&b);
-        assert_eq!(a.of_ctx(0)[0], 3);
+        a.record(1, 15);
+        assert_eq!(a.of_ctx(0)[0], 2);
         assert_eq!(a.of_ctx(1)[1], 1);
         assert_eq!(a.of_ctx(1)[15], 1);
-        assert_eq!(a.total(), 5);
+        assert_eq!(a.total(), 4);
     }
 
     #[test]

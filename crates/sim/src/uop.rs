@@ -80,8 +80,6 @@ pub struct Uop {
     pub front_way: usize,
     /// Backend way this copy issued to (set at issue).
     pub back_way: Option<usize>,
-    /// Cycle this uop issued.
-    pub issue_cycle: Option<u64>,
     /// Issue-queue payload-RAM entry this uop occupied (for payload-fault
     /// application at late value capture).
     pub payload_slot: usize,
@@ -157,7 +155,6 @@ impl Uop {
             lead_next_pc: 0,
             front_way: 0,
             back_way: None,
-            issue_cycle: None,
             payload_slot: 0,
             packet: None,
             filler: false,

@@ -1,10 +1,11 @@
 //! Differential tests: the out-of-order pipeline must produce exactly the
 //! golden interpreter's architectural state, in every mode, on arbitrary
-//! programs.
+//! programs, and its commit log must replay against the interpreter
+//! instruction by instruction.
 
 use blackjack_faults::FaultPlan;
 use blackjack_isa::{asm::assemble, Interp, PagedMem};
-use blackjack_sim::{Core, CoreConfig, MemEffect, Mode};
+use blackjack_sim::{replay_against_interp, Core, CoreConfig, Mode};
 use blackjack_workloads::random::random_program;
 use blackjack_workloads::{build, Benchmark};
 
@@ -17,13 +18,17 @@ fn run_interp(prog: &blackjack_isa::Program) -> Interp {
     it
 }
 
-fn run_mode(prog: &blackjack_isa::Program, mode: Mode, oracle: bool) -> Core {
+/// Runs `prog` fault-free in `mode` and replays its commit log against
+/// the interpreter, so a divergence names the first wrong commit.
+fn run_mode(prog: &blackjack_isa::Program, mode: Mode) -> Core {
     let mut core = Core::new(CoreConfig::with_mode(mode), prog, FaultPlan::new());
-    if oracle && mode == Mode::Single {
-        core.enable_oracle(prog);
-    }
+    core.enable_commit_log();
     let out = core.run(MAX_CYCLES);
     assert!(out.completed(), "{} mode failed on {}: {out:?}", mode, prog.name);
+    let log = core.take_commit_log().expect("commit log was enabled");
+    if let Err(e) = replay_against_interp(prog, &log) {
+        panic!("{} in {mode} mode: {e}", prog.name);
+    }
     core
 }
 
@@ -56,7 +61,7 @@ fn assert_same_regs(name: &str, mode: Mode, core: &Core, it: &Interp) {
 fn differential(prog: &blackjack_isa::Program) {
     let golden = run_interp(prog);
     for mode in Mode::ALL {
-        let core = run_mode(prog, mode, true);
+        let core = run_mode(prog, mode);
         assert_same_memory(&prog.name, mode, &core, golden.mem());
         assert_same_regs(&prog.name, mode, &core, &golden);
         let s = core.stats();
@@ -76,8 +81,8 @@ fn differential(prog: &blackjack_isa::Program) {
 
 #[test]
 fn random_programs_all_modes() {
-    // 40 random programs through 4 modes each, with the single-thread runs
-    // additionally cross-checked instruction-by-instruction by the oracle.
+    // 40 random programs through 4 modes each, every run's commit log
+    // replayed instruction by instruction against the interpreter.
     for seed in 0..40 {
         let prog = random_program(seed, 12);
         differential(&prog);
@@ -93,14 +98,14 @@ fn random_programs_large() {
 }
 
 #[test]
-fn benchmark_kernels_single_mode_oracle() {
-    // Whole benchmark kernels through the single-thread pipeline with the
-    // lock-step oracle enabled (catches any committed-state divergence at
-    // the exact instruction).
+fn benchmark_kernels_single_mode_replay() {
+    // Whole benchmark kernels through the single-thread pipeline, the
+    // commit log replayed against the interpreter (catches any
+    // committed-state divergence at the exact instruction).
     for b in [Benchmark::Gzip, Benchmark::Mgrid, Benchmark::Gcc, Benchmark::Vortex] {
         let prog = build(b, 1);
         let golden = run_interp(&prog);
-        let core = run_mode(&prog, Mode::Single, true);
+        let core = run_mode(&prog, Mode::Single);
         assert_same_memory(b.name(), Mode::Single, &core, golden.mem());
     }
 }
@@ -111,7 +116,7 @@ fn benchmark_kernels_blackjack_memory_equivalence() {
         let prog = build(b, 1);
         let golden = run_interp(&prog);
         for mode in [Mode::Srt, Mode::BlackJack] {
-            let core = run_mode(&prog, mode, false);
+            let core = run_mode(&prog, mode);
             assert_same_memory(b.name(), mode, &core, golden.mem());
         }
     }
@@ -240,44 +245,6 @@ fn function_calls_and_ras() {
     )
     .unwrap();
     differential(&prog);
-}
-
-#[test]
-fn commit_log_matches_interpreter_lockstep() {
-    // The commit log is the fuzzer's differential surface: replaying it
-    // against the interpreter step-by-step must agree on PC, next PC,
-    // destination writes, and memory effects in every mode.
-    for seed in [3u64, 17, 29] {
-        let prog = random_program(seed, 12);
-        for mode in Mode::ALL {
-            let mut core = Core::new(CoreConfig::with_mode(mode), &prog, FaultPlan::new());
-            core.enable_commit_log();
-            assert!(core.run(MAX_CYCLES).completed());
-            let log = core.take_commit_log().expect("log enabled");
-            let mut it = Interp::new(&prog);
-            for (i, rec) in log.iter().enumerate() {
-                assert_eq!(rec.seq, i as u64, "{mode}: seq gap at record {i}");
-                assert_eq!(rec.pc, it.pc(), "{mode}: pc diverges at seq {i}");
-                it.step().expect("interpreter executes committed instruction");
-                assert_eq!(rec.next_pc, it.pc(), "{mode}: next_pc diverges at seq {i}");
-                if let Some((log_reg, v)) = rec.dst {
-                    let idx = log_reg.index() as usize;
-                    let want = if log_reg.is_fp() {
-                        it.freg_bits(idx - 32)
-                    } else {
-                        it.reg(idx)
-                    };
-                    assert_eq!(v, want, "{mode}: dst value diverges at seq {i}");
-                }
-                if let Some(MemEffect::Store { addr, bytes, data }) = rec.mem {
-                    let got = it.mem().read_sized(addr, bytes);
-                    assert_eq!(data, got, "{mode}: store diverges at seq {i} ({bytes}B @ {addr:#x})");
-                }
-            }
-            assert!(it.halted(), "{mode}: log must end at the interpreter's halt");
-            assert_eq!(log.len() as u64, it.icount(), "{mode}: log covers every commit");
-        }
-    }
 }
 
 #[test]

@@ -11,12 +11,11 @@ use blackjack_workloads::{build, Benchmark};
 const MAX_CYCLES: u64 = 100_000_000;
 
 /// `SimStats` as a comparable string with the wall-clock telemetry
-/// zeroed: `wall_nanos`/`agg_wall_nanos` measure host time, not simulated
-/// state, and legitimately differ between two identical simulations.
+/// zeroed: `wall_nanos` measures host time, not simulated state, and
+/// legitimately differs between two identical simulations.
 fn arch_stats(stats: &SimStats) -> String {
     let mut s = stats.clone();
     s.wall_nanos = 0;
-    s.agg_wall_nanos = 0;
     format!("{s:?}")
 }
 

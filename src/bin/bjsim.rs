@@ -7,13 +7,19 @@
 //!   --mode single|srt|blackjack-ns|blackjack    (default: blackjack)
 //!   --shuffle greedy|exhaustive                 (default: greedy)
 //!   --slack N                                   (default: 256)
-//!   --fault SITE:WAY[:BIT]  inject a stuck-at-1 hard fault; SITE is
-//!                           `backend`, `frontend`, or `payload`
+//!   --fault SITE:WAY[:BIT]  inject a stuck-at-1 hard fault on bit BIT
+//!                           (0..64, default 0); SITE is `frontend`,
+//!                           `backend`, `payload`, `cachedata`,
+//!                           `cachetag`, `sbuf`, `dtq` or `lvq`, and WAY
+//!                           must exist in the configured machine
 //!   --max-cycles N                              (default: 1 billion)
-//!   --oracle        cross-check every commit against the interpreter
-//!                   (single mode, fault-free only)
+//!   --oracle        replay every leading commit of a completed run
+//!                   against the interpreter (any mode, fault-free only)
 //!   --quiet         print only the outcome line
 //! ```
+//!
+//! A malformed option, a fault site outside the machine, or `--oracle`
+//! with `--fault` exits with status 2; an oracle mismatch exits with 1.
 //!
 //! Example:
 //!
@@ -33,9 +39,11 @@
 use std::process::exit;
 
 use blackjack::envcfg;
-use blackjack::faults::{AreaModel, FaultPlan, FaultSite, HardFault};
+use blackjack::faults::{parse_fault, AreaModel, FaultPlan};
 use blackjack::isa::asm::assemble_named;
-use blackjack::sim::{Core, CoreConfig, Mode, RunOutcome, ShuffleAlgo, FLIGHT_CAPACITY};
+use blackjack::sim::{
+    replay_against_interp, Core, CoreConfig, Mode, RunOutcome, ShuffleAlgo, FLIGHT_CAPACITY,
+};
 use blackjack::telemetry::TraceWriter;
 
 fn usage() -> ! {
@@ -92,23 +100,11 @@ fn main() {
             }
             "--fault" => {
                 let spec = args.next().unwrap_or_else(|| usage());
-                let parts: Vec<&str> = spec.split(':').collect();
-                if parts.len() < 2 || parts.len() > 3 {
-                    eprintln!("bad fault spec `{spec}` (want SITE:WAY[:BIT])");
-                    usage();
-                }
-                let way: usize = parts[1].parse().unwrap_or_else(|_| usage());
-                let bit: u8 = parts.get(2).map(|b| b.parse().unwrap_or_else(|_| usage())).unwrap_or(0);
-                let site = match parts[0] {
-                    "backend" => FaultSite::Backend { way },
-                    "frontend" => FaultSite::Frontend { way },
-                    "payload" => FaultSite::PayloadRam { entry: way },
-                    other => {
-                        eprintln!("unknown fault site `{other}`");
-                        usage()
-                    }
-                };
-                plan.add(HardFault::stuck_bit(site, bit));
+                let fault = parse_fault(&spec).unwrap_or_else(|e| {
+                    eprintln!("{e}");
+                    usage()
+                });
+                plan.add(fault);
             }
             "--oracle" => oracle = true,
             "--quiet" => quiet = true,
@@ -122,6 +118,21 @@ fn main() {
     }
 
     let Some(path) = path else { usage() };
+    for f in plan.faults() {
+        let extent = cfg.site_extent(f.site);
+        if f.site.index() >= extent {
+            eprintln!(
+                "fault site `{}:{}` is outside the machine (want 0..{extent})",
+                f.site.family(),
+                f.site.index()
+            );
+            usage();
+        }
+    }
+    if oracle && !plan.is_empty() {
+        eprintln!("--oracle checks fault-free runs only; drop --fault");
+        usage();
+    }
     let src = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         eprintln!("cannot read {path}: {e}");
         exit(1);
@@ -137,12 +148,20 @@ fn main() {
         .unwrap_or(FLIGHT_CAPACITY);
     let mut core = Core::new(cfg.clone(), &prog, plan);
     if oracle {
-        core.enable_oracle(&prog);
+        core.enable_commit_log();
     }
     if writer.is_some() {
         core.enable_trace_with_capacity(trace_depth);
     }
     let outcome = core.run(max_cycles);
+    let replayed = (oracle && outcome.completed()).then(|| {
+        let log = core.take_commit_log().expect("commit log was enabled");
+        if let Err(e) = replay_against_interp(&prog, &log) {
+            eprintln!("oracle mismatch: {e}");
+            exit(1);
+        }
+        log.len()
+    });
 
     if let Some(w) = writer.as_mut() {
         let state = core.take_trace().expect("tracing was enabled");
@@ -208,4 +227,7 @@ fn main() {
         100.0 * m.l2_stats().miss_rate(),
         m.mem_accesses()
     );
+    if let Some(n) = replayed {
+        println!("oracle: {n} leading commits match the interpreter");
+    }
 }

@@ -72,11 +72,6 @@ impl Experiment {
         self
     }
 
-    /// The base configuration.
-    pub fn base_config(&self) -> &CoreConfig {
-        &self.base
-    }
-
     /// Runs one benchmark in one mode.
     ///
     /// # Panics

@@ -276,11 +276,6 @@ impl MetricsRegistry {
         &self.catchup_cycles
     }
 
-    /// The job-latency histogram (nondeterministic).
-    pub fn job_nanos_histogram(&self) -> &Histogram {
-        &self.job_nanos
-    }
-
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         self == &MetricsRegistry::default()

@@ -33,6 +33,11 @@
 //! `sed 's/,"nondet":.*/}/'` (or [`strip_nondet`]) reduces a line to its
 //! reproducible prefix. Verification scripts diff those prefixes across
 //! runs with different worker counts.
+//!
+//! The `run` record's stats no longer carry the pooled aggregate wall
+//! time, which always equalled `wall_nanos` for a single run. No reader
+//! used it; the schema version stays 2, since the parsers look fields up
+//! by name and never required it.
 
 use std::fmt::Write as _;
 use std::io::Write as _;
@@ -279,12 +284,6 @@ impl ProgressMeter {
     /// Hands the writer back for the post-campaign record families.
     pub fn into_writer(self) -> TraceWriter {
         self.writer.into_inner().expect("trace writer poisoned")
-    }
-
-    /// Runs the closure against the wrapped writer (for mid-campaign
-    /// emission other than progress — rarely needed).
-    pub fn with_writer<R>(&self, f: impl FnOnce(&mut TraceWriter) -> R) -> R {
-        f(&mut self.writer.lock().expect("trace writer poisoned"))
     }
 
     /// Counts one simulator run; `forked` when it continued from a
@@ -935,12 +934,8 @@ mod tests {
             let (_, trace) =
                 Campaign::with_workers(1).run_traced((0..3u64).map(|i| move || i).collect());
             w.emit_campaign(&trace, &["a".into(), "b".into(), "c".into()]);
-            let stats = blackjack_sim::SimStats {
-                cycles: 10,
-                wall_nanos: 5,
-                agg_wall_nanos: 5,
-                ..Default::default()
-            };
+            let stats =
+                blackjack_sim::SimStats { cycles: 10, wall_nanos: 5, ..Default::default() };
             w.emit_run("a", &stats, None);
             w.flush().unwrap();
         }

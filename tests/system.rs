@@ -146,3 +146,36 @@ fn slack_sweep_changes_behavior_sanely() {
         );
     }
 }
+
+#[test]
+fn bjsim_cli_checks_fault_specs_and_oracle() {
+    let prog = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/programs/checksum.s");
+    let bjsim = |args: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_bjsim"))
+            .args(args)
+            .arg(prog)
+            .output()
+            .expect("bjsim runs");
+        (out.status.code(), String::from_utf8_lossy(&out.stdout).into_owned())
+    };
+    // Rejected before simulating: a bit past 63, a way the machine lacks,
+    // an unknown family, and the oracle on a faulty run.
+    for args in [
+        &["--fault", "backend:4:200"][..],
+        &["--fault", "backend:99:2"],
+        &["--fault", "tlb:0:1"],
+        &["--oracle", "--fault", "backend:4:2"],
+    ] {
+        assert_eq!(bjsim(args).0, Some(2), "bjsim {args:?} must exit 2");
+    }
+    // Every site family of the shared spelling is accepted.
+    let (code, out) = bjsim(&["--quiet", "--fault", "lvq:0:5"]);
+    assert_eq!(code, Some(0));
+    assert!(out.starts_with("DETECTED"), "{out}");
+    // The oracle replays the commit log in redundant modes too.
+    for mode in ["single", "srt", "blackjack"] {
+        let (code, out) = bjsim(&["--oracle", "--mode", mode]);
+        assert_eq!(code, Some(0), "{mode}: {out}");
+        assert!(out.contains("leading commits match the interpreter"), "{mode}: {out}");
+    }
+}
